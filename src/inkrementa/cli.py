@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -120,18 +121,15 @@ def _cmd_report(args) -> int:
     for path in args.inputs:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}", line=exc.lineno) from exc
         for key in ("run_id", "seed", "stages", "final"):
             if key not in doc:
                 raise ParseError(f"{path} is missing {key!r}; not a run report")
         rows.append(doc)
-    import csv as _csv
 
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["run_id", "seed", "stage", "N", "accuracy", "accn"])
         for doc in rows:
             for stage in doc["stages"]:

@@ -163,12 +163,41 @@ def _require_keys(section: dict, allowed: dict, where: str) -> dict:
     return section
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON value kinds a config field may hold; nothing is coerced across kinds.
+_KINDS = {
+    "an integer": _is_int,
+    "a number": _is_number,
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "a number or null": lambda v: v is None or _is_number(v),
+}
+
+
+def _field(section: dict, key: str, default, kind: str, where: str):
+    """``section[key]`` if present and of ``kind``, else ``default`` when absent."""
+    if key not in section:
+        return default
+    value = section[key]
+    if not _KINDS[kind](value):
+        raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
+    return value
+
+
 def parse_config(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document, validating fully."""
     _require_keys(raw, {"seed": True, "data": True, "stages": True, "model": False, "ccs": False}, "config")
 
     seed = raw["seed"] if seed_override is None else seed_override
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
     data_section = _require_keys(raw["data"], {"synthetic": False, "csv": False}, "data")
@@ -184,18 +213,22 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
             },
             "data.synthetic",
         )
+        where = "data.synthetic"
         data: SyntheticSpec | CsvSource = SyntheticSpec(
-            num_classes=syn["num_classes"],
-            input_dim=syn["input_dim"],
-            train_per_class=syn["train_per_class"],
-            test_per_class=syn["test_per_class"],
-            center_scale=float(syn.get("center_scale", 10.0)),
-            stddev=float(syn.get("stddev", 1.0)),
+            num_classes=_field(syn, "num_classes", None, "an integer", where),
+            input_dim=_field(syn, "input_dim", None, "an integer", where),
+            train_per_class=_field(syn, "train_per_class", None, "an integer", where),
+            test_per_class=_field(syn, "test_per_class", None, "an integer", where),
+            center_scale=float(_field(syn, "center_scale", 10.0, "a number", where)),
+            stddev=float(_field(syn, "stddev", 1.0, "a number", where)),
             seed=seed,
         )
     else:
         paths = _require_keys(data_section["csv"], {"train": True, "test": True}, "data.csv")
-        data = CsvSource(train=str(paths["train"]), test=str(paths["test"]))
+        data = CsvSource(
+            train=_field(paths, "train", None, "a string", "data.csv"),
+            test=_field(paths, "test", None, "a string", "data.csv"),
+        )
 
     stages = raw["stages"]
     if not isinstance(stages, list) or not all(isinstance(g, list) for g in stages):
@@ -209,10 +242,10 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
     )
     defaults = ModelSettings()
     model = ModelSettings(
-        hidden_dims=tuple(model_section.get("hidden_dims", defaults.hidden_dims)),
-        learning_rate=float(model_section.get("lr", defaults.learning_rate)),
-        batch_size=int(model_section.get("batch_size", defaults.batch_size)),
-        epochs_per_stage=int(model_section.get("epochs_per_stage", defaults.epochs_per_stage)),
+        hidden_dims=tuple(_field(model_section, "hidden_dims", defaults.hidden_dims, "a list of integers", "model")),
+        learning_rate=float(_field(model_section, "lr", defaults.learning_rate, "a number", "model")),
+        batch_size=_field(model_section, "batch_size", defaults.batch_size, "an integer", "model"),
+        epochs_per_stage=_field(model_section, "epochs_per_stage", defaults.epochs_per_stage, "an integer", "model"),
     )
 
     ccs_section = _require_keys(
@@ -226,13 +259,13 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
     )
     ccs_defaults = CcsSettings()
     ccs = CcsSettings(
-        k=int(ccs_section.get("k", ccs_defaults.k)),
-        use_exemplars=bool(ccs_section.get("use_exemplars", ccs_defaults.use_exemplars)),
-        use_distillation=bool(ccs_section.get("use_distillation", ccs_defaults.use_distillation)),
-        use_weight_align=bool(ccs_section.get("use_weight_align", ccs_defaults.use_weight_align)),
-        distill_loss=str(ccs_section.get("distill_loss", ccs_defaults.distill_loss)),
-        wa_norm=str(ccs_section.get("wa_norm", ccs_defaults.wa_norm)),
-        alpha_override=ccs_section.get("alpha_override", None),
+        k=_field(ccs_section, "k", ccs_defaults.k, "an integer", "ccs"),
+        use_exemplars=_field(ccs_section, "use_exemplars", ccs_defaults.use_exemplars, "a boolean", "ccs"),
+        use_distillation=_field(ccs_section, "use_distillation", ccs_defaults.use_distillation, "a boolean", "ccs"),
+        use_weight_align=_field(ccs_section, "use_weight_align", ccs_defaults.use_weight_align, "a boolean", "ccs"),
+        distill_loss=_field(ccs_section, "distill_loss", ccs_defaults.distill_loss, "a string", "ccs"),
+        wa_norm=_field(ccs_section, "wa_norm", ccs_defaults.wa_norm, "a string", "ccs"),
+        alpha_override=_field(ccs_section, "alpha_override", None, "a number or null", "ccs"),
     )
 
     return ScenarioConfig(seed=seed, data=data, plan=plan, model=model, ccs=ccs)

@@ -35,7 +35,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got {m.ndim}-D")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

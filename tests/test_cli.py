@@ -77,6 +77,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_wrongly_typed_config_value_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, ccs={"k": 1, "alpha_override": "0.5"})
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "ccs.alpha_override must be a number" in capsys.readouterr().err
+
+
 def test_invalid_json_config_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")

@@ -124,6 +124,22 @@ def test_parse_config_rejects_non_integer_seed():
         parse_config(config_doc(seed="7"))
 
 
+COERCIBLE_FIELDS = [
+    ("ccs", "use_exemplars", "false"),
+    ("ccs", "k", 1.9),
+    ("model", "hidden_dims", "64"),
+    ("ccs", "alpha_override", "0.5"),
+]
+
+
+@pytest.mark.parametrize("section,key,value", COERCIBLE_FIELDS, ids=[f[1] for f in COERCIBLE_FIELDS])
+def test_parse_config_rejects_wrong_types_instead_of_coercing(section, key, value):
+    doc = config_doc()
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        parse_config(doc)
+
+
 def test_parse_config_seed_override():
     cfg = parse_config(config_doc(), seed_override=99)
     assert cfg.seed == 99

@@ -113,12 +113,16 @@ def test_forward_matches_hand_arithmetic_one_hidden_unit():
 
 def test_forward_batch_equals_per_sample():
     model = make_model(num_classes=4, seed=3)
-    X = numkit.make_rng(8).normal(size=(7, 6))
-    logits, embeddings = model.forward_batch(X)
-    for i in range(7):
-        li, ei = model.forward(X[i])
-        npt.assert_allclose(logits[i], li, atol=1e-12)
-        npt.assert_allclose(embeddings[i], ei, atol=1e-12)
+    # one block plus a remainder, several blocks plus a remainder, and no rows
+    for n_rows in (7, 3 * model.config.batch_size + 5, 0):
+        X = numkit.make_rng(8).normal(size=(n_rows, 6))
+        logits, embeddings = model.forward_batch(X)
+        assert logits.shape == (n_rows, 4)
+        assert embeddings.shape == (n_rows, model.embed_dim)
+        for i in range(n_rows):
+            li, ei = model.forward(X[i])
+            npt.assert_allclose(logits[i], li, atol=1e-12)
+            npt.assert_allclose(embeddings[i], ei, atol=1e-12)
 
 
 def test_forward_dimension_mismatch():
