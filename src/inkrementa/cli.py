@@ -6,10 +6,8 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .data import SyntheticSpec, generate_synthetic, save_csv
@@ -70,7 +68,7 @@ def _cmd_gen_data(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     if not isinstance(config.data, SyntheticSpec):
         raise ConfigError("gen-data needs a synthetic data section")
-    train, test = generate_synthetic(replace(config.data, seed=config.seed))
+    train, test = generate_synthetic(config.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_csv(train, out / "train.csv")
@@ -117,7 +115,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = []
+    docs = []
     for path in args.inputs:
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -126,36 +124,9 @@ def _cmd_report(args) -> int:
         for key in ("run_id", "seed", "stages", "final"):
             if key not in doc:
                 raise ParseError(f"{path} is missing {key!r}; not a run report")
-        rows.append(doc)
-
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", "seed", "stage", "N", "accuracy", "accn"])
-        for doc in rows:
-            for stage in doc["stages"]:
-                writer.writerow(
-                    [
-                        doc["run_id"],
-                        doc["seed"],
-                        stage["stage"],
-                        stage["n_classes"],
-                        format(float(stage["accuracy"]), ".6f"),
-                        format(float(stage["accn"]), ".6f"),
-                    ]
-                )
-        for doc in rows:
-            final = doc["final"]
-            writer.writerow(
-                [
-                    doc["run_id"],
-                    doc["seed"],
-                    "final",
-                    final["n_classes"],
-                    format(float(final["accuracy"]), ".6f"),
-                    format(float(final["accn"]), ".6f"),
-                ]
-            )
-    print(f"wrote {args.out} ({len(rows)} run(s))")
+        docs.append(doc)
+    write_summary_csv(docs, args.out)
+    print(f"wrote {args.out} ({len(docs)} run(s))")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numkit
 from .data import LabeledDataset
-from .errors import ConflictError, DegenerateHeadError, EmptyInputError, ShapeError
+from .errors import ConfigError, ConflictError, DegenerateHeadError, EmptyInputError, ShapeError
 from .model import DISTILL_LOSSES, IncModel, ModelConfig, train_epochs
 
 WA_NORMS = ("l1", "l2")
@@ -64,40 +64,36 @@ class ExemplarStore:
 
 
 @dataclass(frozen=True)
-class StageContext:
-    """Per-stage settings: class counts, toggles, loss/norm choices, capacity.
+class CcsSettings:
+    """Which components a stage update uses, and how; the same at every stage.
 
-    ``alpha`` of None means the default schedule 0.1 * u / (u + v); an
-    explicit value overrides it.
+    ``alpha_override`` of None means the default schedule 0.1 * u / (u + v);
+    an explicit value overrides it.
     """
 
-    u: int
-    v: int
     k: int = 1
     use_exemplars: bool = True
     use_distillation: bool = True
     use_weight_align: bool = True
     distill_loss: str = "mse"
     wa_norm: str = "l2"
-    alpha: float | None = None
+    alpha_override: float | None = None
 
     def __post_init__(self):
-        if self.u < 1 or self.v < 1:
-            raise ValueError(f"need u >= 1 and v >= 1, got u={self.u}, v={self.v}")
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ConfigError(f"ccs.k must be >= 1, got {self.k}")
         if self.distill_loss not in DISTILL_LOSSES:
-            raise ValueError(f"unknown distill_loss {self.distill_loss!r}")
+            raise ConfigError(f"ccs.distill_loss must be one of {DISTILL_LOSSES}, got {self.distill_loss!r}")
         if self.wa_norm not in WA_NORMS:
-            raise ValueError(f"unknown wa_norm {self.wa_norm!r}")
-        if self.alpha is not None and not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
+            raise ConfigError(f"ccs.wa_norm must be one of {WA_NORMS}, got {self.wa_norm!r}")
+        if self.alpha_override is not None and not 0.0 <= self.alpha_override < 1.0:
+            raise ConfigError(f"ccs.alpha_override must be in [0, 1), got {self.alpha_override}")
 
-    @property
-    def mixing_alpha(self) -> float:
-        if self.alpha is not None:
-            return self.alpha
-        return ALPHA_BASE * self.u / (self.u + self.v)
+    def mixing_alpha(self, u: int, v: int) -> float:
+        """Distillation weight for a stage adding v classes to u old ones."""
+        if self.alpha_override is not None:
+            return self.alpha_override
+        return ALPHA_BASE * u / (u + v)
 
 
 def class_feature_center(model: IncModel, samples: np.ndarray) -> np.ndarray:
@@ -193,46 +189,44 @@ def ccs_stage_update(
     prev: IncModel,
     new_data: LabeledDataset,
     store: ExemplarStore,
-    ctx: StageContext,
+    settings: CcsSettings,
     config: ModelConfig,
     rng: np.random.Generator,
 ) -> tuple[IncModel, ExemplarStore, list[float]]:
     """One incremental stage: expand, train with replay + distillation, align.
 
-    Expects ``new_data`` labels already remapped to u..u+v-1. The rng is
-    consumed in a fixed order (head expansion draws, then one shuffle per
-    epoch) regardless of the toggles, so seed-matched runs differing only in
-    toggles see identical batches.
+    The u old classes are the previous model's; the v new ones are
+    ``new_data.class_ids``, already remapped to u..u+v-1. A new class without
+    training rows still gets a head row, but no exemplars. The rng is consumed
+    in a fixed order (head expansion draws, then one shuffle per epoch)
+    regardless of the toggles, so seed-matched runs differing only in toggles
+    see identical batches.
 
     Returns (updated model, extended store, per-epoch losses). Exemplars for
     the new classes are selected with the updated model and frozen thereafter.
     """
     if new_data.n_samples == 0:
         raise ValueError("new_data is empty")
-    u = prev.num_classes
-    if ctx.u != u:
-        raise ValueError(f"context says u={ctx.u} but previous model has {u} classes")
-    new_ids = set(int(l) for l in new_data.labels)
-    if ctx.v != len(new_ids):
-        raise ValueError(f"context says v={ctx.v} but new_data holds {len(new_ids)} classes")
+    u, v = prev.num_classes, len(new_data.class_ids)
+    new_ids = set(new_data.class_ids)
     seen = set(range(u)) | set(store.per_class)
     overlap = new_ids & seen
     if overlap:
         raise ConflictError(f"new class ids {sorted(overlap)} were already seen")
-    expected = set(range(u, u + ctx.v))
+    expected = set(range(u, u + v))
     if new_ids != expected:
         raise ValueError(
-            f"new_data labels must be contiguous after the old classes "
+            f"new_data class ids must be contiguous after the old classes "
             f"({sorted(expected)}), got {sorted(new_ids)}"
         )
 
     student = prev.copy()
-    student.expand_head(ctx.v, rng)
+    student.expand_head(v, rng)
 
-    alpha = ctx.mixing_alpha if ctx.use_distillation else 0.0
-    teacher = prev.snapshot() if (ctx.use_distillation and alpha > 0) else None
+    alpha = settings.mixing_alpha(u, v) if settings.use_distillation else 0.0
+    teacher = prev.snapshot() if (settings.use_distillation and alpha > 0) else None
 
-    if ctx.use_exemplars and store.per_class:
+    if settings.use_exemplars and store.per_class:
         ex_feats, ex_labels = store.flatten()
         features = np.vstack([new_data.features, ex_feats])
         labels = np.concatenate([new_data.labels, ex_labels])
@@ -244,11 +238,11 @@ def ccs_stage_update(
         student, features, labels, rng,
         epochs=config.epochs_per_stage, batch_size=config.batch_size,
         lr=config.learning_rate,
-        teacher=teacher, alpha=alpha, distill_loss=ctx.distill_loss,
+        teacher=teacher, alpha=alpha, distill_loss=settings.distill_loss,
     )
 
-    if ctx.use_weight_align:
-        student.head = weight_align(student.head, u, ctx.v, ctx.wa_norm)
+    if settings.use_weight_align:
+        student.head = weight_align(student.head, u, v, settings.wa_norm)
 
-    new_store = build_exemplar_store(student, new_data, ctx.k, existing=store)
+    new_store = build_exemplar_store(student, new_data, settings.k, existing=store)
     return student, new_store, losses

@@ -9,6 +9,10 @@ class ShapeError(InkrementaError, ValueError):
     """Operands have incompatible shapes or lengths."""
 
 
+class NonFiniteError(InkrementaError, ValueError):
+    """An array holds NaN or infinite entries."""
+
+
 class EmptyInputError(InkrementaError, ValueError):
     """An operation received an empty vector, dataset, or class."""
 
@@ -45,3 +49,7 @@ class VersionError(InkrementaError, ValueError):
 
 class MappingError(InkrementaError, ValueError):
     """A test sample carries a class id the model has never seen."""
+
+
+class DivergenceError(InkrementaError):
+    """Training produced non-finite values; message cites the epoch."""

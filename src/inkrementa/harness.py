@@ -17,19 +17,14 @@ import csv
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, numkit
-from .continual import (
-    ExemplarStore,
-    StageContext,
-    WA_NORMS,
-    build_exemplar_store,
-    ccs_stage_update,
-)
+from .continual import CcsSettings, build_exemplar_store, ccs_stage_update
 from .data import (
     LabeledDataset,
     StagePlan,
@@ -41,7 +36,7 @@ from .data import (
     standardization_stats,
 )
 from .errors import ConfigError, MappingError
-from .model import DISTILL_LOSSES, IncModel, ModelConfig, train_epochs
+from .model import IncModel, ModelConfig, train_epochs
 
 TOOL_NAME = "inkrementa"
 
@@ -58,96 +53,69 @@ class CsvSource:
 
 
 @dataclass(frozen=True)
-class ModelSettings:
-    """The model section of a scenario config (input_dim comes from the data)."""
-
-    hidden_dims: tuple[int, ...] = (64, 32)
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    epochs_per_stage: int = 30
-
-    def resolve(self, input_dim: int) -> ModelConfig:
-        return ModelConfig(
-            input_dim=input_dim,
-            hidden_dims=self.hidden_dims,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            epochs_per_stage=self.epochs_per_stage,
-        )
-
-
-@dataclass(frozen=True)
-class CcsSettings:
-    """Stage-context defaults applied at every incremental stage."""
-
-    k: int = 1
-    use_exemplars: bool = True
-    use_distillation: bool = True
-    use_weight_align: bool = True
-    distill_loss: str = "mse"
-    wa_norm: str = "l2"
-    alpha_override: float | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"ccs.k must be >= 1, got {self.k}")
-        if self.distill_loss not in DISTILL_LOSSES:
-            raise ConfigError(f"ccs.distill_loss must be one of {DISTILL_LOSSES}, got {self.distill_loss!r}")
-        if self.wa_norm not in WA_NORMS:
-            raise ConfigError(f"ccs.wa_norm must be one of {WA_NORMS}, got {self.wa_norm!r}")
-        if self.alpha_override is not None and not 0.0 <= self.alpha_override < 1.0:
-            raise ConfigError(f"ccs.alpha_override must be in [0, 1), got {self.alpha_override}")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully validated scenario: seed, data source, plan, model, ccs settings."""
+    """Fully validated scenario: seed, data source, plan, model, ccs settings.
+
+    A synthetic corpus is always drawn with the scenario seed.
+    """
 
     seed: int
     data: SyntheticSpec | CsvSource
     plan: StagePlan
-    model: ModelSettings = ModelSettings()
+    model: ModelConfig = ModelConfig()
     ccs: CcsSettings = CcsSettings()
 
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if isinstance(self.data, SyntheticSpec):
+            object.__setattr__(self, "data", replace(self.data, seed=self.seed))
 
     def echo(self) -> dict:
         """The resolved config as a plain dict, mirroring the file schema."""
-        if isinstance(self.data, SyntheticSpec):
-            data = {
-                "synthetic": {
-                    "num_classes": self.data.num_classes,
-                    "input_dim": self.data.input_dim,
-                    "train_per_class": self.data.train_per_class,
-                    "test_per_class": self.data.test_per_class,
-                    "center_scale": self.data.center_scale,
-                    "stddev": self.data.stddev,
-                }
-            }
-        else:
-            data = {"csv": {"train": self.data.train, "test": self.data.test}}
+        source = next(key for key, cls in _DATA_SOURCES.items() if isinstance(self.data, cls))
         return {
             "seed": self.seed,
-            "data": data,
+            "data": {source: _echo_section(self.data)},
             "stages": [list(g) for g in self.plan.groups],
-            "model": {
-                "hidden_dims": list(self.model.hidden_dims),
-                "lr": self.model.learning_rate,
-                "batch_size": self.model.batch_size,
-                "epochs_per_stage": self.model.epochs_per_stage,
-            },
-            "ccs": {
-                "k": self.ccs.k,
-                "use_exemplars": self.ccs.use_exemplars,
-                "use_distillation": self.ccs.use_distillation,
-                "use_weight_align": self.ccs.use_weight_align,
-                "distill_loss": self.ccs.distill_loss,
-                "wa_norm": self.ccs.wa_norm,
-                "alpha_override": self.ccs.alpha_override,
-            },
+            "model": _echo_section(self.model),
+            "ccs": _echo_section(self.ccs),
         }
+
+
+_DATA_SOURCES = {"synthetic": SyntheticSpec, "csv": CsvSource}
+
+# The one field whose file key differs from its name.
+_FILE_KEYS = {"learning_rate": "lr"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The JSON kind a field's annotation admits, and the conversion of a value of
+# that kind; nothing is coerced across kinds. Keys are the annotations as
+# written: every config dataclass module postpones annotation evaluation.
+_KINDS = {
+    "int": ("an integer", _is_int, int),
+    "float": ("a number", _is_number, float),
+    "bool": ("a boolean", lambda v: isinstance(v, bool), bool),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "tuple[int, ...]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v), lambda v: v),
+}
+
+
+def _file_fields(cls) -> dict:
+    """File key -> dataclass field of one config section.
+
+    A section's ``seed`` is no file key: it is the scenario seed.
+    """
+    return {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name != "seed"}
 
 
 def _require_keys(section: dict, allowed: dict, where: str) -> dict:
@@ -163,33 +131,27 @@ def _require_keys(section: dict, allowed: dict, where: str) -> dict:
     return section
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _parse_section(cls, section: dict, where: str):
+    """``cls`` from one JSON object: a field without a default is a required key."""
+    by_key = _file_fields(cls)
+    _require_keys(section, {key: f.default is MISSING for key, f in by_key.items()}, where)
+    values = {}
+    for key, f in by_key.items():
+        if key in section:
+            kind, check, convert = _KINDS[f.type]
+            if not check(section[key]):
+                raise ConfigError(f"{where}.{key} must be {kind}, got {section[key]!r}")
+            values[f.name] = convert(section[key])
+    return cls(**values)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# JSON value kinds a config field may hold; nothing is coerced across kinds.
-_KINDS = {
-    "an integer": _is_int,
-    "a number": _is_number,
-    "a boolean": lambda v: isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
-    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    "a number or null": lambda v: v is None or _is_number(v),
-}
-
-
-def _field(section: dict, key: str, default, kind: str, where: str):
-    """``section[key]`` if present and of ``kind``, else ``default`` when absent."""
-    if key not in section:
-        return default
-    value = section[key]
-    if not _KINDS[kind](value):
-        raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
-    return value
+def _echo_section(section) -> dict:
+    """The file form of one config section: ``_parse_section`` reads it back."""
+    echo = {}
+    for key, f in _file_fields(type(section)).items():
+        value = getattr(section, f.name)
+        echo[key] = list(value) if isinstance(value, tuple) else value
+    return echo
 
 
 def parse_config(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
@@ -200,74 +162,19 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
     if not _is_int(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
-    data_section = _require_keys(raw["data"], {"synthetic": False, "csv": False}, "data")
-    if ("synthetic" in data_section) == ("csv" in data_section):
-        raise ConfigError("data must contain exactly one of 'synthetic' or 'csv'")
-    if "synthetic" in data_section:
-        syn = _require_keys(
-            data_section["synthetic"],
-            {
-                "num_classes": True, "input_dim": True,
-                "train_per_class": True, "test_per_class": True,
-                "center_scale": False, "stddev": False,
-            },
-            "data.synthetic",
-        )
-        where = "data.synthetic"
-        data: SyntheticSpec | CsvSource = SyntheticSpec(
-            num_classes=_field(syn, "num_classes", None, "an integer", where),
-            input_dim=_field(syn, "input_dim", None, "an integer", where),
-            train_per_class=_field(syn, "train_per_class", None, "an integer", where),
-            test_per_class=_field(syn, "test_per_class", None, "an integer", where),
-            center_scale=float(_field(syn, "center_scale", 10.0, "a number", where)),
-            stddev=float(_field(syn, "stddev", 1.0, "a number", where)),
-            seed=seed,
-        )
-    else:
-        paths = _require_keys(data_section["csv"], {"train": True, "test": True}, "data.csv")
-        data = CsvSource(
-            train=_field(paths, "train", None, "a string", "data.csv"),
-            test=_field(paths, "test", None, "a string", "data.csv"),
-        )
+    data_section = _require_keys(raw["data"], dict.fromkeys(_DATA_SOURCES, False), "data")
+    if len(data_section) != 1:
+        raise ConfigError(f"data must contain exactly one of {' or '.join(map(repr, _DATA_SOURCES))}")
+    [(source, section)] = data_section.items()
+    data = _parse_section(_DATA_SOURCES[source], section, f"data.{source}")
 
     stages = raw["stages"]
-    if not isinstance(stages, list) or not all(isinstance(g, list) for g in stages):
+    if not isinstance(stages, list) or not all(isinstance(g, list) and all(map(_is_int, g)) for g in stages):
         raise ConfigError("stages must be a list of class-id lists")
     plan = StagePlan(tuple(tuple(g) for g in stages))
 
-    model_section = _require_keys(
-        raw.get("model", {}),
-        {"hidden_dims": False, "lr": False, "batch_size": False, "epochs_per_stage": False},
-        "model",
-    )
-    defaults = ModelSettings()
-    model = ModelSettings(
-        hidden_dims=tuple(_field(model_section, "hidden_dims", defaults.hidden_dims, "a list of integers", "model")),
-        learning_rate=float(_field(model_section, "lr", defaults.learning_rate, "a number", "model")),
-        batch_size=_field(model_section, "batch_size", defaults.batch_size, "an integer", "model"),
-        epochs_per_stage=_field(model_section, "epochs_per_stage", defaults.epochs_per_stage, "an integer", "model"),
-    )
-
-    ccs_section = _require_keys(
-        raw.get("ccs", {}),
-        {
-            "k": False, "use_exemplars": False, "use_distillation": False,
-            "use_weight_align": False, "distill_loss": False, "wa_norm": False,
-            "alpha_override": False,
-        },
-        "ccs",
-    )
-    ccs_defaults = CcsSettings()
-    ccs = CcsSettings(
-        k=_field(ccs_section, "k", ccs_defaults.k, "an integer", "ccs"),
-        use_exemplars=_field(ccs_section, "use_exemplars", ccs_defaults.use_exemplars, "a boolean", "ccs"),
-        use_distillation=_field(ccs_section, "use_distillation", ccs_defaults.use_distillation, "a boolean", "ccs"),
-        use_weight_align=_field(ccs_section, "use_weight_align", ccs_defaults.use_weight_align, "a boolean", "ccs"),
-        distill_loss=_field(ccs_section, "distill_loss", ccs_defaults.distill_loss, "a string", "ccs"),
-        wa_norm=_field(ccs_section, "wa_norm", ccs_defaults.wa_norm, "a string", "ccs"),
-        alpha_override=_field(ccs_section, "alpha_override", None, "a number or null", "ccs"),
-    )
-
+    model = _parse_section(ModelConfig, raw.get("model", {}), "model")
+    ccs = _parse_section(CcsSettings, raw.get("ccs", {}), "ccs")
     return ScenarioConfig(seed=seed, data=data, plan=plan, model=model, ccs=ccs)
 
 
@@ -420,7 +327,7 @@ def canonical_json(value, indent: int = 0) -> str:
 
 def _load_pools(config: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
     if isinstance(config.data, SyntheticSpec):
-        return generate_synthetic(replace(config.data, seed=config.seed))
+        return generate_synthetic(config.data)
     train = load_csv(config.data.train, has_header=_sniff_header(config.data.train))
     test = load_csv(config.data.test, has_header=_sniff_header(config.data.test))
     return train, test
@@ -437,12 +344,23 @@ def _sniff_header(path) -> bool:
         return True
 
 
+@contextmanager
+def _stage(i: int):
+    """Name the stage in any error raised inside, keeping the error's type."""
+    try:
+        yield
+    except Exception as exc:
+        exc.args = (f"stage {i} failed: {exc}",)
+        raise
+
+
 def run_scenario(config: ScenarioConfig, run_id: str | None = None) -> RunReport:
     """Execute every stage of a scenario and report per-stage metrics.
 
     Stage 0 trains the base model with plain cross-entropy and selects its
     exemplars; each later stage runs the incremental update and is evaluated
-    over all groups seen so far. Deterministic per (config, seed).
+    over all groups seen so far. Deterministic per (config, seed). An error
+    raised while a stage runs keeps its type; its message names the stage.
     """
     if run_id is None:
         run_id = f"run-seed{config.seed}"
@@ -455,50 +373,22 @@ def run_scenario(config: ScenarioConfig, run_id: str | None = None) -> RunReport
         for tr, te in stages
     ]
 
-    model_cfg = config.model.resolve(train_pool.input_dim)
     rng = numkit.make_rng(config.seed, stream=1)
 
     reports: list[StageReport] = []
     seen_tests: list[tuple[int, LabeledDataset]] = []
 
-    base_train, base_test = stages[0]
-    t0 = time.perf_counter()
-    model = IncModel.init(model_cfg, len(base_train.class_ids), rng)
-    losses = train_epochs(model, base_train.features, base_train.labels, rng)
-    store = build_exemplar_store(model, base_train, config.ccs.k)
-    seen_tests.append((0, base_test))
-    overall, per_group = evaluate(model, seen_tests)
-    reports.append(
-        StageReport(
-            stage=0,
-            n_classes=model.num_classes,
-            accuracy=overall,
-            per_group_accuracy=per_group,
-            epoch_losses=losses,
-            wall_clock_seconds=time.perf_counter() - t0,
-        )
-    )
-
-    for i in range(1, config.plan.num_stages):
-        stage_train, stage_test = stages[i]
+    for i, (stage_train, stage_test) in enumerate(stages):
         t0 = time.perf_counter()
-        ctx = StageContext(
-            u=model.num_classes,
-            v=len(stage_train.class_ids),
-            k=config.ccs.k,
-            use_exemplars=config.ccs.use_exemplars,
-            use_distillation=config.ccs.use_distillation,
-            use_weight_align=config.ccs.use_weight_align,
-            distill_loss=config.ccs.distill_loss,
-            wa_norm=config.ccs.wa_norm,
-            alpha=config.ccs.alpha_override,
-        )
-        try:
-            model, store, losses = ccs_stage_update(model, stage_train, store, ctx, model_cfg, rng)
-        except Exception as exc:
-            raise RuntimeError(f"stage {i} failed: {exc}") from exc
-        seen_tests.append((i, stage_test))
-        overall, per_group = evaluate(model, seen_tests)
+        with _stage(i):
+            if i == 0:
+                model = IncModel.init(config.model, train_pool.input_dim, len(stage_train.class_ids), rng)
+                losses = train_epochs(model, stage_train.features, stage_train.labels, rng)
+                store = build_exemplar_store(model, stage_train, config.ccs.k)
+            else:
+                model, store, losses = ccs_stage_update(model, stage_train, store, config.ccs, config.model, rng)
+            seen_tests.append((i, stage_test))
+            overall, per_group = evaluate(model, seen_tests)
         reports.append(
             StageReport(
                 stage=i,
@@ -571,10 +461,7 @@ def run_ablation(
         finals_acc, finals_accn = [], []
         for offset in range(seeds):
             seed = config.seed + offset
-            variant_config = replace(config, seed=seed, ccs=settings)
-            if isinstance(variant_config.data, SyntheticSpec):
-                variant_config = replace(variant_config, data=replace(variant_config.data, seed=seed))
-            report = run_scenario(variant_config, run_id=f"{label}-seed{seed}")
+            report = run_scenario(replace(config, seed=seed, ccs=settings), run_id=f"{label}-seed{seed}")
             reports.append(report)
             finals_acc.append(report.final.accuracy)
             finals_accn.append(report.final.accn)
@@ -594,33 +481,26 @@ def run_ablation(
 # -- flat CSV output ---------------------------------------------------------
 
 
-def write_summary_csv(reports: list[RunReport], path) -> None:
-    """One row per (run, stage), plus a final row per run."""
+def write_summary_csv(reports: list[RunReport | dict], path) -> None:
+    """One row per (run, stage), plus a final row per run.
+
+    Takes run reports or their dict form, as read back from report JSON.
+    """
+    docs = [r.to_dict() if isinstance(r, RunReport) else r for r in reports]
+    rows = [(doc, stage) for doc in docs for stage in doc["stages"]]
+    rows += [(doc, {**doc["final"], "stage": "final"}) for doc in docs]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_id", "seed", "stage", "N", "accuracy", "accn"])
-        for report in reports:
-            for stage in report.stage_reports:
-                writer.writerow(
-                    [
-                        report.run_id,
-                        report.seed,
-                        stage.stage,
-                        stage.n_classes,
-                        format(stage.accuracy, ".6f"),
-                        format(stage.accn, ".6f"),
-                    ]
-                )
-        for report in reports:
-            final = report.final
+        for doc, stage in rows:
             writer.writerow(
                 [
-                    report.run_id,
-                    report.seed,
-                    "final",
-                    final.n_classes,
-                    format(final.accuracy, ".6f"),
-                    format(final.accn, ".6f"),
+                    doc["run_id"],
+                    doc["seed"],
+                    stage["stage"],
+                    stage["n_classes"],
+                    format(float(stage["accuracy"]), ".6f"),
+                    format(float(stage["accn"]), ".6f"),
                 ]
             )
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import numkit
-from .errors import ConfigError, ShapeError, VersionError
+from .errors import ConfigError, DivergenceError, NonFiniteError, ShapeError, VersionError
 
 MODEL_FORMAT_VERSION = "inkrementa-model-v1"
 
@@ -30,9 +30,12 @@ DISTILL_LOSSES = ("mse", "kld", "l1")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and SGD settings. Activation is ReLU, init He-uniform."""
+    """Architecture and SGD settings. Activation is ReLU, init He-uniform.
 
-    input_dim: int
+    The input width is not a setting: it comes from the data at
+    ``IncModel.init`` and from the weights afterwards.
+    """
+
     hidden_dims: tuple[int, ...] = (64, 32)
     learning_rate: float = 0.1
     batch_size: int = 32
@@ -40,8 +43,6 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigError(f"hidden dims must all be >= 1, got {self.hidden_dims}")
         if not self.learning_rate > 0:
@@ -50,25 +51,6 @@ class ModelConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs_per_stage < 1:
             raise ConfigError(f"epochs_per_stage must be >= 1, got {self.epochs_per_stage}")
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs_per_stage": self.epochs_per_stage,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            input_dim=d["input_dim"],
-            hidden_dims=tuple(d["hidden_dims"]),
-            learning_rate=d["learning_rate"],
-            batch_size=d["batch_size"],
-            epochs_per_stage=d["epochs_per_stage"],
-        )
 
 
 def _he_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -86,18 +68,26 @@ class IncModel:
     head: np.ndarray = field(repr=False)
 
     @classmethod
-    def init(cls, config: ModelConfig, num_classes: int, rng: np.random.Generator) -> "IncModel":
+    def init(
+        cls, config: ModelConfig, input_dim: int, num_classes: int, rng: np.random.Generator
+    ) -> "IncModel":
         """He-uniform weights, zero biases, bias-free head over the last layer."""
+        if input_dim < 1:
+            raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
         if num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {num_classes}")
         weights, biases = [], []
-        in_dim = config.input_dim
+        in_dim = input_dim
         for h in config.hidden_dims:
             weights.append(_he_uniform(rng, h, in_dim))
             biases.append(np.zeros(h))
             in_dim = h
         head = _he_uniform(rng, num_classes, in_dim)
         return cls(config=config, weights=weights, biases=biases, head=head)
+
+    @property
+    def input_dim(self) -> int:
+        return (self.weights[0] if self.weights else self.head).shape[1]
 
     @property
     def num_classes(self) -> int:
@@ -120,8 +110,8 @@ class IncModel:
     def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Single-sample pass; returns (logits, embedding)."""
         x = numkit.as_vector(x, "x")
-        if x.size != self.config.input_dim:
-            raise ShapeError(f"input has length {x.size}, model expects {self.config.input_dim}")
+        if x.size != self.input_dim:
+            raise ShapeError(f"input has length {x.size}, model expects {self.input_dim}")
         logits, embeddings = self.forward_batch(x[None, :])
         return logits[0], embeddings[0]
 
@@ -149,8 +139,8 @@ class IncModel:
 
     def _check_input(self, X) -> np.ndarray:
         X = numkit.as_matrix(X, "X")
-        if X.shape[1] != self.config.input_dim:
-            raise ShapeError(f"input has dim {X.shape[1]}, model expects {self.config.input_dim}")
+        if X.shape[1] != self.input_dim:
+            raise ShapeError(f"input has dim {X.shape[1]}, model expects {self.input_dim}")
         return X
 
     def _forward_cached(self, X: np.ndarray):
@@ -269,7 +259,7 @@ class IncModel:
     def to_dict(self) -> dict:
         return {
             "version": MODEL_FORMAT_VERSION,
-            "config": self.config.to_dict(),
+            "config": {"input_dim": self.input_dim, **asdict(self.config)},
             "num_classes": self.num_classes,
             "layers": [
                 {"shape": list(w.shape), "weight": w.tolist(), "bias": b.tolist()}
@@ -287,7 +277,9 @@ class IncModel:
         version = d.get("version")
         if version != MODEL_FORMAT_VERSION:
             raise VersionError(f"unsupported model version {version!r}, expected {MODEL_FORMAT_VERSION!r}")
-        config = ModelConfig.from_dict(d["config"])
+        settings = dict(d["config"])
+        input_dim = settings.pop("input_dim")
+        config = ModelConfig(**settings)
         weights = [np.array(layer["weight"], dtype=np.float64) for layer in d["layers"]]
         biases = [np.array(layer["bias"], dtype=np.float64) for layer in d["layers"]]
         head = np.array(d["head"], dtype=np.float64)
@@ -296,7 +288,10 @@ class IncModel:
                 raise ValueError(f"layer weight shape {list(w.shape)} does not match recorded {layer['shape']}")
         if list(head.shape) != d["head_shape"]:
             raise ValueError(f"head shape {list(head.shape)} does not match recorded {d['head_shape']}")
-        return cls(config=config, weights=weights, biases=biases, head=head)
+        model = cls(config=config, weights=weights, biases=biases, head=head)
+        if model.input_dim != input_dim:
+            raise ValueError(f"layers take input_dim {model.input_dim}, but {input_dim} is recorded")
+        return model
 
     @classmethod
     def load(cls, path) -> "IncModel":
@@ -339,6 +334,8 @@ def train_epochs(
 
     The only randomness is one ``rng.permutation`` per epoch, which keeps the
     draw sequence identical across loss configurations for the same seed.
+    Non-finite logits on the already-checked features mean the model itself
+    diverged, which raises ``DivergenceError`` naming the epoch.
     """
     cfg = model.config
     epochs = cfg.epochs_per_stage if epochs is None else epochs
@@ -351,15 +348,18 @@ def train_epochs(
         raise ValueError("cannot train on an empty dataset")
 
     epoch_losses = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            loss = model.backward_and_step(
-                features[idx], labels[idx], teacher=teacher, alpha=alpha,
-                distill_loss=distill_loss, lr=lr,
-            )
-            total += loss * idx.size
+        try:
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
+                loss = model.backward_and_step(
+                    features[idx], labels[idx], teacher=teacher, alpha=alpha,
+                    distill_loss=distill_loss, lr=lr,
+                )
+                total += loss * idx.size
+        except NonFiniteError as exc:
+            raise DivergenceError(f"training diverged in epoch {epoch} of {epochs}: {exc}") from exc
         epoch_losses.append(total / n)
     return epoch_losses

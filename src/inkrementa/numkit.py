@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInputError, ShapeError
+from .errors import EmptyInputError, NonFiniteError, ShapeError
 
 KL_FLOOR = 1e-12
 
@@ -36,7 +36,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got {m.ndim}-D")
     if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return m
 
 

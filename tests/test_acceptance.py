@@ -26,7 +26,7 @@ from inkrementa.harness import (
     run_scenario,
 )
 from inkrementa.model import DISTILL_LOSSES, IncModel, ModelConfig
-from inkrementa.continual import StageContext, build_exemplar_store, ccs_stage_update, herding_select
+from inkrementa.continual import CcsSettings, build_exemplar_store, ccs_stage_update, herding_select
 
 GROUPS = {
     "A": list(range(0, 15)),
@@ -102,8 +102,8 @@ def test_c01_gradients_match_finite_differences_for_every_loss():
     """CE and CE+{MSE,KLD,L1} distill gradients vs central differences,
     h=1e-5, per-parameter relative error <= 1e-4, in under 10 seconds."""
     started = time.perf_counter()
-    cfg = ModelConfig(input_dim=6, hidden_dims=(5,), learning_rate=0.1, batch_size=4, epochs_per_stage=1)
-    teacher_model = IncModel.init(cfg, 3, numkit.make_rng(31))
+    cfg = ModelConfig(hidden_dims=(5,), learning_rate=0.1, batch_size=4, epochs_per_stage=1)
+    teacher_model = IncModel.init(cfg, 6, 3, numkit.make_rng(31))
     student_base = teacher_model.copy()
     student_base.expand_head(2, numkit.make_rng(32))
     teacher = teacher_model.snapshot()
@@ -179,7 +179,7 @@ def test_c02_herding_equals_brute_force_on_50_random_instances():
         n = int(rng.integers(1, 501))
         k = int(rng.integers(1, 8))
         model = IncModel.init(
-            ModelConfig(input_dim=dim, hidden_dims=hidden), 3, numkit.make_rng(1000 + trial)
+            ModelConfig(hidden_dims=hidden), dim, 3, numkit.make_rng(1000 + trial)
         )
         samples = rng.normal(size=(n, dim))
 
@@ -228,8 +228,8 @@ def test_c03_weight_align_postconditions_on_100_random_heads():
 def test_c04_all_toggles_off_is_bit_identical_to_plain_fine_tuning():
     """ccs_stage_update with everything disabled must equal an independently
     written fine-tuning loop over the same seeded batch stream, bit for bit."""
-    cfg = ModelConfig(input_dim=5, hidden_dims=(8,), learning_rate=0.1, batch_size=16, epochs_per_stage=6)
-    prev = IncModel.init(cfg, 4, numkit.make_rng(41))
+    cfg = ModelConfig(hidden_dims=(8,), learning_rate=0.1, batch_size=16, epochs_per_stage=6)
+    prev = IncModel.init(cfg, 5, 4, numkit.make_rng(41))
     rng_data = numkit.make_rng(42)
     base = LabeledDataset(rng_data.normal(size=(40, 5)), np.repeat(np.arange(4), 10))
     store = build_exemplar_store(prev, base, k=1)  # must be ignored when toggled off
@@ -237,7 +237,7 @@ def test_c04_all_toggles_off_is_bit_identical_to_plain_fine_tuning():
         rng_data.normal(size=(40, 5)), np.repeat([4, 5], 20), class_ids=(4, 5)
     )
 
-    ctx = StageContext(u=4, v=2, **ALL_OFF)
+    ctx = CcsSettings(**ALL_OFF)
     model, _, _ = ccs_stage_update(prev, new_data, store, ctx, cfg, numkit.make_rng(43))
 
     rng = numkit.make_rng(43)

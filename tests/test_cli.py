@@ -124,6 +124,26 @@ def test_runtime_failure_exits_4(tmp_path, monkeypatch, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step,stage", [("evaluate", 0), ("ccs_stage_update", 1)])
+def test_typed_error_inside_a_stage_keeps_its_exit_code(tmp_path, monkeypatch, capsys, step, stage):
+    from inkrementa import harness
+    from inkrementa.errors import MappingError
+
+    def unmappable(*args):
+        raise MappingError("class 9 was never seen")
+
+    monkeypatch.setattr(harness, step, unmappable)
+    assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 3
+    assert f"data error: stage {stage} failed: class 9 was never seen" in capsys.readouterr().err
+
+
+def test_divergence_names_the_stage_and_the_epoch(tmp_path, capsys):
+    config = write_config(tmp_path, model={"hidden_dims": [8], "lr": 1e6, "epochs_per_stage": 5})
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "runtime error: stage 1 failed: training diverged in epoch 2 of 5" in err
+
+
 def test_ablate_writes_reports_and_tables(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "ablation"

@@ -6,8 +6,8 @@ import pytest
 
 from inkrementa import numkit
 from inkrementa.continual import (
+    CcsSettings,
     ExemplarStore,
-    StageContext,
     build_exemplar_store,
     ccs_stage_update,
     class_feature_center,
@@ -27,8 +27,8 @@ from inkrementa.model import IncModel, ModelConfig
 def embed_model(input_dim=4, num_classes=3, seed=0, hidden=()):
     """With no hidden layers the embedding is the raw input, which makes the
     geometry of herding directly controllable from the test."""
-    cfg = ModelConfig(input_dim=input_dim, hidden_dims=hidden)
-    return IncModel.init(cfg, num_classes, numkit.make_rng(seed))
+    cfg = ModelConfig(hidden_dims=hidden)
+    return IncModel.init(cfg, input_dim, num_classes, numkit.make_rng(seed))
 
 
 # -- ExemplarStore ------------------------------------------------------------
@@ -62,30 +62,28 @@ def test_store_copy_is_deep():
     assert store.per_class[0][0, 0] == 1.0
 
 
-# -- StageContext ----------------------------------------------------------------
+# -- CcsSettings ----------------------------------------------------------------
 
 
 def test_context_default_alpha_schedule():
-    ctx = StageContext(u=15, v=10)
-    assert ctx.mixing_alpha == pytest.approx(0.06, abs=1e-15)
-    assert StageContext(u=25, v=10).mixing_alpha == pytest.approx(0.1 * 25 / 35, abs=1e-15)
+    ctx = CcsSettings()
+    assert ctx.mixing_alpha(15, 10) == pytest.approx(0.06, abs=1e-15)
+    assert CcsSettings().mixing_alpha(25, 10) == pytest.approx(0.1 * 25 / 35, abs=1e-15)
 
 
 def test_context_alpha_override_wins():
-    assert StageContext(u=15, v=10, alpha=0.3).mixing_alpha == 0.3
+    assert CcsSettings(alpha_override=0.3).mixing_alpha(15, 10) == 0.3
 
 
 def test_context_validation():
     with pytest.raises(ValueError):
-        StageContext(u=0, v=1)
+        CcsSettings(k=0)
     with pytest.raises(ValueError):
-        StageContext(u=1, v=1, k=0)
+        CcsSettings(distill_loss="huber")
     with pytest.raises(ValueError):
-        StageContext(u=1, v=1, distill_loss="huber")
+        CcsSettings(wa_norm="linf")
     with pytest.raises(ValueError):
-        StageContext(u=1, v=1, wa_norm="linf")
-    with pytest.raises(ValueError):
-        StageContext(u=1, v=1, alpha=1.0)
+        CcsSettings(alpha_override=1.0)
 
 
 # -- class_feature_center -----------------------------------------------------------
@@ -303,9 +301,9 @@ def test_weight_align_monotone_argmax_for_old_winners():
 
 
 def stage_inputs(seed=0):
-    cfg = ModelConfig(input_dim=4, hidden_dims=(8,), learning_rate=0.1, batch_size=8, epochs_per_stage=4)
+    cfg = ModelConfig(hidden_dims=(8,), learning_rate=0.1, batch_size=8, epochs_per_stage=4)
     rng = numkit.make_rng(seed)
-    prev = IncModel.init(cfg, 3, rng)
+    prev = IncModel.init(cfg, 4, 3, rng)
     base = class_dataset(3, 12, seed=seed + 1)
     store = build_exemplar_store(prev, base, k=1)
     new_data = class_dataset(2, 12, seed=seed + 2, first_id=3)
@@ -317,22 +315,18 @@ def test_stage_update_validations():
     rng = numkit.make_rng(1)
     empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
-        ccs_stage_update(prev, empty, store, StageContext(u=3, v=2), cfg, rng)
-    with pytest.raises(ValueError):
-        ccs_stage_update(prev, new_data, store, StageContext(u=4, v=2), cfg, rng)
-    with pytest.raises(ValueError):
-        ccs_stage_update(prev, new_data, store, StageContext(u=3, v=3), cfg, rng)
+        ccs_stage_update(prev, empty, store, CcsSettings(), cfg, rng)
     overlapping = class_dataset(2, 5, first_id=2)
     with pytest.raises(ConflictError):
-        ccs_stage_update(prev, overlapping, store, StageContext(u=3, v=2), cfg, rng)
+        ccs_stage_update(prev, overlapping, store, CcsSettings(), cfg, rng)
     gap = class_dataset(2, 5, first_id=4)  # labels 4,5 but expected 3,4
     with pytest.raises(ValueError):
-        ccs_stage_update(prev, gap, store, StageContext(u=3, v=2), cfg, rng)
+        ccs_stage_update(prev, gap, store, CcsSettings(), cfg, rng)
 
 
 def test_stage_update_grows_model_and_store():
     prev, new_data, store, cfg = stage_inputs(seed=3)
-    ctx = StageContext(u=3, v=2, k=1)
+    ctx = CcsSettings(k=1)
     model, new_store, losses = ccs_stage_update(prev, new_data, store, ctx, cfg, numkit.make_rng(4))
     assert model.num_classes == 5
     assert new_store.class_ids == (0, 1, 2, 3, 4)
@@ -346,7 +340,7 @@ def test_stage_update_grows_model_and_store():
 def test_stage_update_old_store_rows_are_frozen():
     prev, new_data, store, cfg = stage_inputs(seed=5)
     frozen = {c: rows.copy() for c, rows in store.per_class.items()}
-    ctx = StageContext(u=3, v=2, k=1)
+    ctx = CcsSettings(k=1)
     _, new_store, _ = ccs_stage_update(prev, new_data, store, ctx, cfg, numkit.make_rng(6))
     for c, rows in frozen.items():
         npt.assert_array_equal(new_store.per_class[c], rows)
@@ -354,7 +348,7 @@ def test_stage_update_old_store_rows_are_frozen():
 
 def test_stage_update_new_exemplars_use_the_updated_model():
     prev, new_data, store, cfg = stage_inputs(seed=7)
-    ctx = StageContext(u=3, v=2, k=2)
+    ctx = CcsSettings(k=2)
     model, new_store, _ = ccs_stage_update(prev, new_data, store, ctx, cfg, numkit.make_rng(8))
     for c in (3, 4):
         rows = new_data.class_rows(c)
@@ -363,9 +357,9 @@ def test_stage_update_new_exemplars_use_the_updated_model():
 
 def test_stage_update_weight_align_toggle_changes_only_new_rows_scale():
     prev, new_data, store, cfg = stage_inputs(seed=9)
-    on, _, _ = ccs_stage_update(prev, new_data, store, StageContext(u=3, v=2), cfg, numkit.make_rng(10))
+    on, _, _ = ccs_stage_update(prev, new_data, store, CcsSettings(), cfg, numkit.make_rng(10))
     off, _, _ = ccs_stage_update(prev, new_data, store,
-                                 StageContext(u=3, v=2, use_weight_align=False), cfg, numkit.make_rng(10))
+                                 CcsSettings(use_weight_align=False), cfg, numkit.make_rng(10))
     npt.assert_array_equal(on.head[:3], off.head[:3])
     old_mean = np.sqrt((on.head[:3] ** 2).sum(axis=1)).mean()
     new_mean = np.sqrt((on.head[3:] ** 2).sum(axis=1)).mean()
@@ -378,7 +372,7 @@ def test_stage_update_weight_align_toggle_changes_only_new_rows_scale():
 def test_stage_update_reduces_to_plain_fine_tuning_bit_exactly():
     """All toggles off must equal an independently coded fine-tuning loop."""
     prev, new_data, store, cfg = stage_inputs(seed=11)
-    ctx = StageContext(u=3, v=2, use_exemplars=False, use_distillation=False, use_weight_align=False)
+    ctx = CcsSettings(use_exemplars=False, use_distillation=False, use_weight_align=False)
     model, _, _ = ccs_stage_update(prev, new_data, store, ctx, cfg, numkit.make_rng(12))
 
     # oracle: expand with the same rng draws, then plain CE mini-batch SGD
@@ -426,8 +420,8 @@ def test_stage_update_distillation_protects_old_logits():
     prev, new_data, store, cfg = stage_inputs(seed=13)
     probe = class_dataset(3, 12, seed=14).features
     before, _ = prev.forward_batch(probe)
-    ctx_on = StageContext(u=3, v=2, use_exemplars=False, use_weight_align=False, alpha=0.9)
-    ctx_off = StageContext(u=3, v=2, use_exemplars=False, use_distillation=False, use_weight_align=False)
+    ctx_on = CcsSettings(use_exemplars=False, use_weight_align=False, alpha_override=0.9)
+    ctx_off = CcsSettings(use_exemplars=False, use_distillation=False, use_weight_align=False)
     with_kd, _, _ = ccs_stage_update(prev, new_data, store, ctx_on, cfg, numkit.make_rng(15))
     without, _, _ = ccs_stage_update(prev, new_data, store, ctx_off, cfg, numkit.make_rng(15))
     drift_on = np.mean((with_kd.forward_batch(probe)[0][:, :3] - before) ** 2)

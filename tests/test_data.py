@@ -139,8 +139,8 @@ def test_synthetic_separable_corpus_trains_to_90_percent():
     stats = standardization_stats(train)
     train = apply_standardization(train, stats)
     test = apply_standardization(test, stats)
-    cfg = ModelConfig(input_dim=8, hidden_dims=(64, 32), learning_rate=0.1, batch_size=32, epochs_per_stage=30)
-    model = IncModel.init(cfg, 50, numkit.make_rng(1))
+    cfg = ModelConfig(hidden_dims=(64, 32), learning_rate=0.1, batch_size=32, epochs_per_stage=30)
+    model = IncModel.init(cfg, 8, 50, numkit.make_rng(1))
     train_epochs(model, train.features, train.labels, numkit.make_rng(2))
     logits, _ = model.forward_batch(test.features)
     accuracy = np.mean(logits.argmax(axis=1) == test.labels)

@@ -13,7 +13,6 @@ from inkrementa.harness import (
     ABLATION_PRESETS,
     CcsSettings,
     CsvSource,
-    ModelSettings,
     RunReport,
     ScenarioConfig,
     StageReport,
@@ -67,7 +66,7 @@ def test_parse_config_defaults_for_model_and_ccs():
     doc = config_doc()
     del doc["model"], doc["ccs"]
     cfg = parse_config(doc)
-    assert cfg.model == ModelSettings()
+    assert cfg.model == ModelConfig()
     assert cfg.ccs == CcsSettings()
 
 
@@ -140,6 +139,12 @@ def test_parse_config_rejects_wrong_types_instead_of_coercing(section, key, valu
         parse_config(doc)
 
 
+@pytest.mark.parametrize("stages", [[["0", 1], [2]], [[0, 1.9], [2]], [[0, True], [2]]])
+def test_parse_config_rejects_non_integer_class_ids(stages):
+    with pytest.raises(ConfigError, match="stages"):
+        parse_config(config_doc(stages=stages))
+
+
 def test_parse_config_seed_override():
     cfg = parse_config(config_doc(), seed_override=99)
     assert cfg.seed == 99
@@ -154,6 +159,24 @@ def test_config_echo_resolves_defaults():
     assert echo["ccs"]["distill_loss"] == "mse"
     assert echo["ccs"]["alpha_override"] is None
     assert echo["stages"] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+
+
+def csv_doc():
+    doc = config_doc()
+    doc["data"] = {"csv": {"train": "train.csv", "test": "test.csv"}}
+    return doc
+
+
+def defaults_doc():
+    doc = config_doc()
+    del doc["model"], doc["ccs"]
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [config_doc, defaults_doc, csv_doc], ids=["full", "defaults", "csv"])
+def test_config_echo_parses_back_to_the_same_config(make_doc):
+    cfg = parse_config(make_doc())
+    assert parse_config(cfg.echo()) == cfg
 
 
 def test_load_config_bad_json(tmp_path):
@@ -196,7 +219,7 @@ def test_accn_rejects_out_of_range():
 
 
 def always_class_zero_model(input_dim=2, num_classes=10):
-    model = IncModel.init(ModelConfig(input_dim=input_dim, hidden_dims=()), num_classes, numkit.make_rng(0))
+    model = IncModel.init(ModelConfig(hidden_dims=()), input_dim, num_classes, numkit.make_rng(0))
     model.head[:] = 0.0
     model.head[0, :] = 1.0  # class 0 wins every argmax on positive inputs
     return model
@@ -220,7 +243,7 @@ def test_evaluate_constant_predictor_scores_chance():
 def test_evaluate_perfect_lookup_model():
     from inkrementa.data import LabeledDataset
 
-    model = IncModel.init(ModelConfig(input_dim=3, hidden_dims=()), 3, numkit.make_rng(0))
+    model = IncModel.init(ModelConfig(hidden_dims=()), 3, 3, numkit.make_rng(0))
     model.head[:] = np.eye(3)  # logit j = x[j]; one-hot rows are classified exactly
     feats = np.eye(3)
     ds = LabeledDataset(feats, [0, 1, 2])
@@ -231,7 +254,7 @@ def test_evaluate_perfect_lookup_model():
 def test_evaluate_matches_per_sample_hand_count():
     from inkrementa.data import LabeledDataset
 
-    model = IncModel.init(ModelConfig(input_dim=4, hidden_dims=(6,)), 3, numkit.make_rng(2))
+    model = IncModel.init(ModelConfig(hidden_dims=(6,)), 4, 3, numkit.make_rng(2))
     rng = numkit.make_rng(3)
     sets = []
     for g in range(2):
@@ -351,6 +374,35 @@ def test_run_scenario_csv_round_trip(tmp_path):
     }
     report = run_scenario(parse_config(doc))
     assert [r.n_classes for r in report.stage_reports] == [3, 6]
+
+
+def test_run_scenario_class_with_test_rows_but_no_train_rows(tmp_path, monkeypatch):
+    from inkrementa import harness
+    from inkrementa.data import generate_synthetic, save_csv
+
+    spec = SyntheticSpec(num_classes=6, input_dim=3, train_per_class=15, test_per_class=4, seed=8)
+    train, test = generate_synthetic(spec)
+    save_csv(train.restrict([0, 1, 2, 3, 5]), tmp_path / "train.csv")  # class 4: test rows only
+    save_csv(test, tmp_path / "test.csv")
+    doc = {
+        "seed": 8,
+        "data": {"csv": {"train": str(tmp_path / "train.csv"), "test": str(tmp_path / "test.csv")}},
+        "stages": [[0, 1, 2], [3, 4, 5]],
+        "model": {"hidden_dims": [8], "epochs_per_stage": 5},
+    }
+    updates = []
+
+    def recording_update(*args):
+        updates.append(real_update(*args))
+        return updates[-1]
+
+    real_update = harness.ccs_stage_update
+    monkeypatch.setattr(harness, "ccs_stage_update", recording_update)
+    report = run_scenario(parse_config(doc))
+    assert [r.n_classes for r in report.stage_reports] == [3, 6]
+    model, store, _ = updates[-1]
+    assert model.num_classes == 6  # class 4 has its head row
+    assert store.class_ids == (0, 1, 2, 3, 5)  # but no exemplar
 
 
 # -- run_ablation -----------------------------------------------------------------------

@@ -16,13 +16,13 @@ from inkrementa.model import (
 
 
 def small_config(**overrides):
-    base = dict(input_dim=6, hidden_dims=(5,), learning_rate=0.1, batch_size=4, epochs_per_stage=3)
+    base = dict(hidden_dims=(5,), learning_rate=0.1, batch_size=4, epochs_per_stage=3)
     base.update(overrides)
     return ModelConfig(**base)
 
 
 def make_model(num_classes=3, seed=0, **overrides):
-    return IncModel.init(small_config(**overrides), num_classes, numkit.make_rng(seed))
+    return IncModel.init(small_config(**overrides), 6, num_classes, numkit.make_rng(seed))
 
 
 # -- config validation ----------------------------------------------------------
@@ -30,15 +30,15 @@ def make_model(num_classes=3, seed=0, **overrides):
 
 def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
-        ModelConfig(input_dim=0)
+        IncModel.init(ModelConfig(), 0, 3, numkit.make_rng(0))
     with pytest.raises(ConfigError):
-        ModelConfig(input_dim=4, hidden_dims=(8, 0))
+        ModelConfig(hidden_dims=(8, 0))
     with pytest.raises(ConfigError):
-        ModelConfig(input_dim=4, learning_rate=0.0)
+        ModelConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
-        ModelConfig(input_dim=4, batch_size=0)
+        ModelConfig(batch_size=0)
     with pytest.raises(ConfigError):
-        ModelConfig(input_dim=4, epochs_per_stage=0)
+        ModelConfig(epochs_per_stage=0)
 
 
 # -- initialization ---------------------------------------------------------------
@@ -53,8 +53,8 @@ def test_init_same_seed_gives_identical_parameters():
 
 
 def test_init_head_shape_matches_last_hidden():
-    cfg = ModelConfig(input_dim=16, hidden_dims=(64, 32))
-    model = IncModel.init(cfg, 15, numkit.make_rng(0))
+    cfg = ModelConfig(hidden_dims=(64, 32))
+    model = IncModel.init(cfg, 16, 15, numkit.make_rng(0))
     assert model.head.shape == (15, 32)
     assert model.num_classes == 15 and model.embed_dim == 32
 
@@ -69,8 +69,8 @@ def test_init_biases_zero_and_weights_within_he_bound():
 
 
 def test_init_no_hidden_layers_is_linear_classifier():
-    cfg = ModelConfig(input_dim=4, hidden_dims=())
-    model = IncModel.init(cfg, 3, numkit.make_rng(1))
+    cfg = ModelConfig(hidden_dims=())
+    model = IncModel.init(cfg, 4, 3, numkit.make_rng(1))
     assert model.weights == [] and model.embed_dim == 4
     x = np.array([1.0, -2.0, 0.5, 0.0])
     logits, embedding = model.forward(x)
@@ -80,7 +80,7 @@ def test_init_no_hidden_layers_is_linear_classifier():
 
 def test_init_rejects_zero_classes():
     with pytest.raises(ConfigError):
-        IncModel.init(small_config(), 0, numkit.make_rng(0))
+        IncModel.init(small_config(), 6, 0, numkit.make_rng(0))
 
 
 # -- forward ---------------------------------------------------------------------
@@ -97,8 +97,8 @@ def test_forward_zero_weights_gives_zero_logits():
 
 def test_forward_matches_hand_arithmetic_one_hidden_unit():
     # x=[1,2]: z = 0.5*1 - 0.25*2 + 0.1 = 0.1 -> a = 0.1; head [[2],[-1]]
-    cfg = ModelConfig(input_dim=2, hidden_dims=(1,))
-    model = IncModel.init(cfg, 2, numkit.make_rng(0))
+    cfg = ModelConfig(hidden_dims=(1,))
+    model = IncModel.init(cfg, 2, 2, numkit.make_rng(0))
     model.weights[0][:] = np.array([[0.5, -0.25]])
     model.biases[0][:] = np.array([0.1])
     model.head[:] = np.array([[2.0], [-1.0]])
@@ -343,8 +343,8 @@ def toy_three_class_set(seed=0):
 
 
 def test_training_reaches_95_percent_on_separable_toy_set():
-    cfg = ModelConfig(input_dim=2, hidden_dims=(16,), learning_rate=0.1, batch_size=32, epochs_per_stage=200)
-    model = IncModel.init(cfg, 3, numkit.make_rng(0))
+    cfg = ModelConfig(hidden_dims=(16,), learning_rate=0.1, batch_size=32, epochs_per_stage=200)
+    model = IncModel.init(cfg, 2, 3, numkit.make_rng(0))
     X, y = toy_three_class_set()
     losses = train_epochs(model, X, y, numkit.make_rng(1))
     assert len(losses) == 200
@@ -356,10 +356,10 @@ def test_training_reaches_95_percent_on_separable_toy_set():
 
 def test_training_is_bit_deterministic():
     X, y = toy_three_class_set(seed=3)
-    cfg = ModelConfig(input_dim=2, hidden_dims=(8,), learning_rate=0.1, batch_size=16, epochs_per_stage=5)
+    cfg = ModelConfig(hidden_dims=(8,), learning_rate=0.1, batch_size=16, epochs_per_stage=5)
 
     def run():
-        model = IncModel.init(cfg, 3, numkit.make_rng(21))
+        model = IncModel.init(cfg, 2, 3, numkit.make_rng(21))
         train_epochs(model, X, y, numkit.make_rng(22))
         return model
 
@@ -445,6 +445,14 @@ def test_load_rejects_wrong_version(tmp_path):
     with pytest.raises(VersionError):
         IncModel.from_dict(doc)
     assert MODEL_FORMAT_VERSION == "inkrementa-model-v1"
+
+
+def test_load_rejects_input_dim_that_disagrees_with_the_layers():
+    doc = make_model().to_dict()
+    assert doc["config"]["input_dim"] == 6
+    doc["config"]["input_dim"] = 7
+    with pytest.raises(ValueError, match="input_dim"):
+        IncModel.from_dict(doc)
 
 
 def test_load_rejects_shape_mismatch():
