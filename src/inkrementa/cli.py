@@ -114,17 +114,41 @@ def _cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+_STAGE_METRICS = ("n_classes", "accuracy", "accn")
+
+
+def _check_stage_entry(entry, path, where: str, extra_keys: tuple[str, ...] = ()) -> None:
+    if not isinstance(entry, dict):
+        raise ParseError(f"{path}: {where} is not a JSON object; not a run report")
+    missing = [key for key in (*extra_keys, *_STAGE_METRICS) if key not in entry]
+    if missing:
+        raise ParseError(f"{path}: {where} is missing {missing}; not a run report")
+    for key in _STAGE_METRICS:
+        if not isinstance(entry[key], (int, float)) or isinstance(entry[key], bool):
+            raise ParseError(f"{path}: {where}.{key} is not a number; not a run report")
+
+
+def _read_run_report(path) -> dict:
+    """A run report's JSON, checked for every field the summary CSV reads."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}", line=exc.lineno) from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path} is not a JSON object; not a run report")
+    for key in ("run_id", "seed", "stages", "final"):
+        if key not in doc:
+            raise ParseError(f"{path} is missing {key!r}; not a run report")
+    if not isinstance(doc["stages"], list):
+        raise ParseError(f"{path}: stages is not a list; not a run report")
+    for i, stage in enumerate(doc["stages"]):
+        _check_stage_entry(stage, path, f"stages[{i}]", extra_keys=("stage",))
+    _check_stage_entry(doc["final"], path, "final")
+    return doc
+
+
 def _cmd_report(args) -> int:
-    docs = []
-    for path in args.inputs:
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}", line=exc.lineno) from exc
-        for key in ("run_id", "seed", "stages", "final"):
-            if key not in doc:
-                raise ParseError(f"{path} is missing {key!r}; not a run report")
-        docs.append(doc)
+    docs = [_read_run_report(path) for path in args.inputs]
     write_summary_csv(docs, args.out)
     print(f"wrote {args.out} ({len(docs)} run(s))")
     return EXIT_OK

@@ -96,21 +96,22 @@ class CcsSettings:
         return ALPHA_BASE * u / (u + v)
 
 
+def _normalized_embeddings(model: IncModel, samples: np.ndarray) -> np.ndarray:
+    """L2-normalized embeddings of one class's samples; a zero embedding stays zero."""
+    samples = numkit.as_matrix(samples, "samples")
+    if samples.shape[0] == 0:
+        raise EmptyInputError("class has no samples")
+    _, embeddings = model.forward_batch(samples)
+    norms = np.sqrt((embeddings**2).sum(axis=1, keepdims=True))
+    return embeddings / np.where(norms > 0, norms, 1.0)
+
+
 def class_feature_center(model: IncModel, samples: np.ndarray) -> np.ndarray:
     """Mean of the L2-normalized embeddings of one class's samples.
 
     A zero embedding normalizes to itself.
     """
-    samples = numkit.as_matrix(samples, "samples")
-    if samples.shape[0] == 0:
-        raise EmptyInputError("class has no samples")
-    _, embeddings = model.forward_batch(samples)
-    return _normalize_rows(embeddings).mean(axis=0)
-
-
-def _normalize_rows(rows: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((rows**2).sum(axis=1, keepdims=True))
-    return rows / np.where(norms > 0, norms, 1.0)
+    return _normalized_embeddings(model, samples).mean(axis=0)
 
 
 def herding_select(model: IncModel, samples: np.ndarray, k: int) -> list[int]:
@@ -122,15 +123,11 @@ def herding_select(model: IncModel, samples: np.ndarray, k: int) -> list[int]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    samples = numkit.as_matrix(samples, "samples")
-    if samples.shape[0] == 0:
-        raise EmptyInputError("class has no samples")
-    _, embeddings = model.forward_batch(samples)
-    normalized = _normalize_rows(embeddings)
+    normalized = _normalized_embeddings(model, samples)
     center = normalized.mean(axis=0)
     distances = np.sqrt(((normalized - center) ** 2).sum(axis=1))
     order = np.argsort(distances, kind="stable")
-    return [int(i) for i in order[: min(k, samples.shape[0])]]
+    return [int(i) for i in order[:k]]
 
 
 def build_exemplar_store(

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, numkit
-from .continual import CcsSettings, build_exemplar_store, ccs_stage_update
+from .continual import CcsSettings, ExemplarStore, build_exemplar_store, ccs_stage_update
 from .data import (
     LabeledDataset,
     StagePlan,
@@ -354,16 +354,50 @@ def _stage(i: int):
         raise
 
 
-def run_scenario(config: ScenarioConfig, run_id: str | None = None) -> RunReport:
-    """Execute every stage of a scenario and report per-stage metrics.
+def _stage_report(i: int, model: IncModel, seen_tests, losses: list[float], t0: float) -> StageReport:
+    """Evaluate ``model`` over every group seen so far and report stage ``i``."""
+    overall, per_group = evaluate(model, seen_tests)
+    return StageReport(
+        stage=i,
+        n_classes=model.num_classes,
+        accuracy=overall,
+        per_group_accuracy=per_group,
+        epoch_losses=losses,
+        wall_clock_seconds=time.perf_counter() - t0,
+    )
 
-    Stage 0 trains the base model with plain cross-entropy and selects its
-    exemplars; each later stage runs the incremental update and is evaluated
-    over all groups seen so far. Deterministic per (config, seed). An error
-    raised while a stage runs keeps its type; its message names the stage.
+
+def _base_key(config: ScenarioConfig) -> tuple:
+    """Everything stage 0 depends on; the ccs toggles act from stage 1 on."""
+    return (config.seed, config.data, config.plan, config.model, config.ccs.k)
+
+
+@dataclass(frozen=True)
+class BaseStage:
+    """Stage 0 of a scenario: the state every later stage starts from.
+
+    Holds the standardized (train, test) pair of every stage, the base model,
+    its exemplar store, the training RNG's state after stage 0, and the
+    stage-0 report. Nothing downstream mutates the model, the store or the
+    report (a stage update trains a copy and extends a copy of the store), so
+    one BaseStage serves any number of runs that share its key.
     """
-    if run_id is None:
-        run_id = f"run-seed{config.seed}"
+
+    key: tuple
+    stages: list[tuple[LabeledDataset, LabeledDataset]]
+    model: IncModel
+    store: ExemplarStore
+    rng_state: dict
+    report: StageReport
+
+
+def run_base_stage(config: ScenarioConfig) -> BaseStage:
+    """Load and standardize the data, train the base model, select its exemplars.
+
+    Stage 0 trains with plain cross-entropy on RNG stream 1 and is evaluated
+    on its own group. An error raised while it runs keeps its type; its
+    message names stage 0.
+    """
     train_pool, test_pool = _load_pools(config)
     stages, _ = split_stages(train_pool, test_pool, config.plan)
 
@@ -374,31 +408,44 @@ def run_scenario(config: ScenarioConfig, run_id: str | None = None) -> RunReport
     ]
 
     rng = numkit.make_rng(config.seed, stream=1)
+    stage_train, stage_test = stages[0]
+    t0 = time.perf_counter()
+    with _stage(0):
+        model = IncModel.init(config.model, train_pool.input_dim, len(stage_train.class_ids), rng)
+        losses = train_epochs(model, stage_train.features, stage_train.labels, rng)
+        store = build_exemplar_store(model, stage_train, config.ccs.k)
+        report = _stage_report(0, model, [(0, stage_test)], losses, t0)
+    return BaseStage(_base_key(config), stages, model, store, rng.bit_generator.state, report)
 
-    reports: list[StageReport] = []
-    seen_tests: list[tuple[int, LabeledDataset]] = []
 
-    for i, (stage_train, stage_test) in enumerate(stages):
+def run_scenario(config: ScenarioConfig, run_id: str | None = None, base: BaseStage | None = None) -> RunReport:
+    """Execute every stage of a scenario and report per-stage metrics.
+
+    Stage 0 comes from ``base``, or from ``run_base_stage(config)`` when no
+    base is given; each later stage runs the incremental update and is
+    evaluated over all groups seen so far. The report is the same either way,
+    and deterministic per (config, seed). An error raised while a stage runs
+    keeps its type; its message names the stage.
+    """
+    if run_id is None:
+        run_id = f"run-seed{config.seed}"
+    if base is None:
+        base = run_base_stage(config)
+    elif base.key != _base_key(config):
+        raise ValueError("base stage was computed for another seed, data source, plan, model or k")
+
+    rng = numkit.make_rng(config.seed, stream=1)
+    rng.bit_generator.state = base.rng_state
+    model, store = base.model, base.store
+    reports = [base.report]
+    seen_tests = [(0, base.stages[0][1])]
+
+    for i, (stage_train, stage_test) in enumerate(base.stages[1:], start=1):
         t0 = time.perf_counter()
         with _stage(i):
-            if i == 0:
-                model = IncModel.init(config.model, train_pool.input_dim, len(stage_train.class_ids), rng)
-                losses = train_epochs(model, stage_train.features, stage_train.labels, rng)
-                store = build_exemplar_store(model, stage_train, config.ccs.k)
-            else:
-                model, store, losses = ccs_stage_update(model, stage_train, store, config.ccs, config.model, rng)
+            model, store, losses = ccs_stage_update(model, stage_train, store, config.ccs, config.model, rng)
             seen_tests.append((i, stage_test))
-            overall, per_group = evaluate(model, seen_tests)
-        reports.append(
-            StageReport(
-                stage=i,
-                n_classes=model.num_classes,
-                accuracy=overall,
-                per_group_accuracy=per_group,
-                epoch_losses=losses,
-                wall_clock_seconds=time.perf_counter() - t0,
-            )
-        )
+            reports.append(_stage_report(i, model, seen_tests, losses, t0))
 
     return RunReport(run_id=run_id, seed=config.seed, config_echo=config.echo(), stage_reports=reports)
 
@@ -435,7 +482,9 @@ def run_ablation(
 
     Each matrix entry is (label, ccs-field overrides). Variants that resolve
     to identical settings are deduplicated with a warning. Seeds are the base
-    seed, +1, ..., +seeds-1.
+    seed, +1, ..., +seeds-1. Stage 0 is run once per (seed, k) and shared by
+    every variant with that seed and k; each report is the one a standalone
+    ``run_scenario`` of the variant would give.
     """
     if not matrix:
         raise ValueError("ablation matrix is empty")
@@ -455,13 +504,18 @@ def run_ablation(
         seen_settings[settings] = label
         variants.append((label, settings))
 
+    bases: dict[tuple, BaseStage] = {}
     reports: list[RunReport] = []
     table: list[dict] = []
     for label, settings in variants:
         finals_acc, finals_accn = [], []
         for offset in range(seeds):
             seed = config.seed + offset
-            report = run_scenario(replace(config, seed=seed, ccs=settings), run_id=f"{label}-seed{seed}")
+            run_config = replace(config, seed=seed, ccs=settings)
+            key = _base_key(run_config)
+            if key not in bases:
+                bases[key] = run_base_stage(run_config)
+            report = run_scenario(run_config, run_id=f"{label}-seed{seed}", base=bases[key])
             reports.append(report)
             finals_acc.append(report.final.accuracy)
             finals_accn.append(report.final.accn)

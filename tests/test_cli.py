@@ -179,6 +179,22 @@ def test_report_rejects_non_report_json(tmp_path):
     assert cli.main(["report", str(stray), "--out", str(tmp_path / "m.csv")]) == 3
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"run_id": "x", "seed": 1, "stages": [{"stage": 0}], "final": {}},
+        {"run_id": "x", "seed": 1, "stages": 5, "final": {}},
+        7,
+    ],
+    ids=["stage-without-metrics", "stages-not-a-list", "top-level-number"],
+)
+def test_report_rejects_malformed_report_with_a_data_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["report", str(bad), "--out", str(tmp_path / "m.csv")]) == 3
+    assert f"data error: {bad}" in capsys.readouterr().err
+
+
 def test_report_missing_input_exits_3(tmp_path):
     assert cli.main(["report", str(tmp_path / "gone.json"), "--out", str(tmp_path / "m.csv")]) == 3
 

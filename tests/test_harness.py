@@ -1,6 +1,7 @@
 """Tests for config parsing, metrics, the staged runner, ablation, reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +23,7 @@ from inkrementa.harness import (
     load_config,
     parse_config,
     run_ablation,
+    run_base_stage,
     run_scenario,
     write_comparison_csv,
     write_summary_csv,
@@ -433,6 +435,66 @@ def test_run_ablation_rows_and_run_ids():
         assert 0.0 <= row["final_accuracy_mean"] <= 1.0
         assert row["final_accuracy_std"] >= 0.0
         assert row["final_accn_mean"] == pytest.approx(row["final_accuracy_mean"] * 12, abs=1e-9)
+
+
+# A variant that trains with distillation and aligns runs first, so a cached
+# base model or store that a run mutated would change the later reports.
+SHARED_BASE_MATRIX = [
+    ("full", {}),
+    ("k2", {"k": 2}),
+    ("baseline", {"use_exemplars": False, "use_distillation": False, "use_weight_align": False}),
+    ("no-wa", {"use_weight_align": False}),
+]
+
+
+def test_run_ablation_reports_equal_standalone_runs():
+    cfg = parse_config(config_doc())
+    reports, _ = run_ablation(cfg, SHARED_BASE_MATRIX, seeds=2)
+    expected = [
+        run_scenario(replace(cfg, seed=seed, ccs=replace(cfg.ccs, **overrides)), run_id=f"{label}-seed{seed}")
+        for label, overrides in SHARED_BASE_MATRIX
+        for seed in (3, 4)
+    ]
+    assert [r.to_json() for r in reports] == [r.to_json() for r in expected]
+
+
+def test_run_ablation_trains_stage_zero_once_per_seed_and_k(monkeypatch):
+    from inkrementa import harness
+
+    calls = []
+
+    def counting_train(*args, **kwargs):
+        calls.append(args)
+        return real_train(*args, **kwargs)
+
+    real_train = harness.train_epochs
+    monkeypatch.setattr(harness, "train_epochs", counting_train)
+    reports, _ = run_ablation(parse_config(config_doc()), SHARED_BASE_MATRIX, seeds=2)
+    assert len(reports) == 8
+    assert len(calls) == 4  # seeds 3 and 4, each with k=1 and k=2
+
+
+def test_run_ablation_stage_zero_error_keeps_its_type_and_names_the_stage(monkeypatch):
+    from inkrementa import harness
+
+    def unmappable(*args):
+        raise MappingError("class 9 was never seen")
+
+    monkeypatch.setattr(harness, "evaluate", unmappable)
+    with pytest.raises(MappingError, match="stage 0 failed: class 9 was never seen"):
+        run_ablation(parse_config(config_doc()), SHARED_BASE_MATRIX, seeds=1)
+
+
+def test_run_scenario_rejects_a_base_stage_of_another_seed_or_k():
+    cfg = parse_config(config_doc())
+    base = run_base_stage(cfg)
+    assert run_scenario(cfg, base=base).to_json() == run_scenario(cfg).to_json()
+    with pytest.raises(ValueError, match="base stage"):
+        run_scenario(replace(cfg, seed=4), base=base)
+    with pytest.raises(ValueError, match="base stage"):
+        run_scenario(replace(cfg, ccs=replace(cfg.ccs, k=2)), base=base)
+    no_wa = run_scenario(replace(cfg, ccs=replace(cfg.ccs, use_weight_align=False)), base=base)
+    assert no_wa.stage_reports[0] is base.report
 
 
 def test_ablation_presets_cover_the_published_rows():
