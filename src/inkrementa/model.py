@@ -7,6 +7,10 @@ head weight aligning manipulates. Backpropagation and SGD are hand-written
 over numpy; the gradient test suite checks every loss configuration against
 central finite differences.
 
+The distillation losses are one table, ``DISTILL_TABLE``: ``name ->
+fn(s_logits, t_logits)``, returning the per-sample distance and its gradient
+with respect to the student logits. ``DISTILL_LOSSES`` lists its names.
+
 Weight convention: layer matrices have shape (out_dim, in_dim), so a batch
 ``X`` of shape (n, in_dim) maps to ``X @ W.T + b``.
 """
@@ -25,7 +29,32 @@ from .errors import ConfigError, DivergenceError, NonFiniteError, ShapeError, Ve
 
 MODEL_FORMAT_VERSION = "inkrementa-model-v1"
 
-DISTILL_LOSSES = ("mse", "kld", "l1")
+
+def _mse_distill(s_logits: np.ndarray, t_logits: np.ndarray):
+    """Mean squared logit difference over the teacher's classes."""
+    u = t_logits.shape[1]
+    diff = s_logits - t_logits
+    return (diff**2).sum(axis=1) / u, 2.0 * diff / u
+
+
+def _l1_distill(s_logits: np.ndarray, t_logits: np.ndarray):
+    """Mean absolute logit difference over the teacher's classes."""
+    u = t_logits.shape[1]
+    diff = s_logits - t_logits
+    return np.abs(diff).sum(axis=1) / u, np.sign(diff) / u
+
+
+def _kld_distill(s_logits: np.ndarray, t_logits: np.ndarray):
+    """KL(teacher || student) of the softmaxes at temperature 1."""
+    s_prob = numkit.softmax_rows(s_logits)
+    t_prob = numkit.softmax_rows(t_logits)
+    q = np.maximum(s_prob, numkit.KL_FLOOR)
+    terms = np.where(t_prob > 0, t_prob * np.log(np.maximum(t_prob, numkit.KL_FLOOR) / q), 0.0)
+    return terms.sum(axis=1), s_prob - t_prob
+
+
+DISTILL_TABLE = {"mse": _mse_distill, "kld": _kld_distill, "l1": _l1_distill}
+DISTILL_LOSSES = tuple(DISTILL_TABLE)
 
 
 @dataclass(frozen=True)
@@ -184,7 +213,8 @@ class IncModel:
         Loss per sample is (1 - alpha) * cross-entropy against the label plus
         alpha * distillation distance between the student's logits restricted
         to the teacher's classes and the teacher's logits (MSE/L1 on logits,
-        KLD on their softmax at temperature 1).
+        KLD on their softmax at temperature 1). An empty batch raises
+        ``EmptyInputError``.
         """
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -192,53 +222,29 @@ class IncModel:
             raise ValueError("alpha > 0 requires a teacher snapshot")
         if (teacher is not None) and alpha == 0:
             raise ValueError("a teacher snapshot requires alpha > 0")
-        if distill_loss not in DISTILL_LOSSES:
+        if distill_loss not in DISTILL_TABLE:
             raise ValueError(f"unknown distill_loss {distill_loss!r}, expected one of {DISTILL_LOSSES}")
         if lr is None:
             lr = self.config.learning_rate
 
         X = self._check_input(X)
         logits, pres, acts = self._forward_cached(X)
+        ce, grad = numkit.softmax_cross_entropy(logits, y)
         n, num_classes = logits.shape
-        y = np.asarray(y, dtype=np.int64)
-        if y.shape != (n,):
-            raise ShapeError(f"labels have shape {y.shape}, expected ({n},)")
-        if y.min() < 0 or y.max() >= num_classes:
-            raise IndexError(f"labels must lie in [0, {num_classes}), got range [{y.min()}, {y.max()}]")
-
-        # cross-entropy term and its logit gradient
-        probs = numkit.softmax_rows(logits)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=1))
-        ce = log_norm - shifted[np.arange(n), y]
-        grad = probs.copy()
-        grad[np.arange(n), y] -= 1.0
         grad *= (1.0 - alpha) / n
 
-        distill = np.zeros(n)
-        if alpha > 0:
+        # mean losses are written sum / count: the same reduction and division
+        # as np.mean, without its per-call wrapper
+        if alpha == 0:
+            loss = ce.sum() / n
+        else:
             u = teacher.num_classes
             if u > num_classes:
                 raise ShapeError(f"teacher has {u} classes but student only {num_classes}")
             t_logits, _ = teacher.forward_batch(X)
-            s_logits = logits[:, :u]
-            if distill_loss == "mse":
-                diff = s_logits - t_logits
-                distill = np.mean(diff**2, axis=1)
-                d_s = 2.0 * diff / u
-            elif distill_loss == "l1":
-                diff = s_logits - t_logits
-                distill = np.mean(np.abs(diff), axis=1)
-                d_s = np.sign(diff) / u
-            else:  # kld on softmax, temperature 1
-                s_prob = numkit.softmax_rows(s_logits)
-                t_prob = numkit.softmax_rows(t_logits)
-                q = np.maximum(s_prob, numkit.KL_FLOOR)
-                distill = np.sum(np.where(t_prob > 0, t_prob * np.log(np.maximum(t_prob, numkit.KL_FLOOR) / q), 0.0), axis=1)
-                d_s = s_prob - t_prob
+            distill, d_s = DISTILL_TABLE[distill_loss](logits[:, :u], t_logits)
             grad[:, :u] += (alpha / n) * d_s
-
-        loss = float(np.mean((1.0 - alpha) * ce + alpha * distill))
+            loss = ((1.0 - alpha) * ce + alpha * distill).sum() / n
 
         # backprop through the head and hidden stack, stepping as we go
         d_head = grad.T @ acts[-1]
@@ -252,7 +258,7 @@ class IncModel:
                 d_act = d_pre @ self.weights[k]
             self.weights[k] -= lr * d_w
             self.biases[k] -= lr * d_b
-        return loss
+        return float(loss)
 
     # -- persistence -----------------------------------------------------------
 
@@ -341,24 +347,31 @@ def train_epochs(
     epochs = cfg.epochs_per_stage if epochs is None else epochs
     batch_size = cfg.batch_size if batch_size is None else batch_size
     lr = cfg.learning_rate if lr is None else lr
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     features = numkit.as_matrix(features, "features")
     labels = np.asarray(labels, dtype=np.int64)
     n = features.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    if labels.shape != (n,):
+        raise ShapeError(f"labels have shape {labels.shape}, expected ({n},)")
 
     epoch_losses = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
+        X, y = features[order], labels[order]
         total = 0.0
         try:
             for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
+                stop = min(start + batch_size, n)
                 loss = model.backward_and_step(
-                    features[idx], labels[idx], teacher=teacher, alpha=alpha,
+                    X[start:stop], y[start:stop], teacher=teacher, alpha=alpha,
                     distill_loss=distill_loss, lr=lr,
                 )
-                total += loss * idx.size
+                total += loss * (stop - start)
         except NonFiniteError as exc:
             raise DivergenceError(f"training diverged in epoch {epoch} of {epochs}: {exc}") from exc
         epoch_losses.append(total / n)

@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra, seeded RNG, and loss/norm primitives.
+"""Dense float64 validation, seeded RNG, and the softmax/cross-entropy kernels.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in float64, C (row-major)
 order; vectors are 1-D float64 arrays. Everything here is a pure function of
@@ -48,25 +48,6 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return v
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D float64 arrays."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def softmax(logits) -> np.ndarray:
-    """Probability vector from logits, computed with max-subtraction."""
-    z = as_vector(logits, "logits")
-    if z.size == 0:
-        raise EmptyInputError("softmax of an empty vector")
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a 2-D logits array."""
     z = as_matrix(logits, "logits")
@@ -77,52 +58,29 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy(logits, label: int) -> float:
-    """Negative log softmax probability of ``label``."""
-    z = as_vector(logits, "logits")
-    if not 0 <= label < z.size:
-        raise IndexError(f"label {label} out of range for {z.size} logits")
-    shifted = z - z.max()
-    log_norm = np.log(np.exp(shifted).sum())
-    return float(log_norm - shifted[label])
+def softmax_cross_entropy(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cross-entropy of 2-D ``logits`` against integer ``labels``.
 
-
-def mse(a, b) -> float:
-    """Mean squared difference of two equal-length vectors."""
-    a, b = as_vector(a, "a"), as_vector(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
-
-
-def l1_loss(a, b) -> float:
-    """Mean absolute difference of two equal-length vectors."""
-    a, b = as_vector(a, "a"), as_vector(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean(np.abs(a - b)))
-
-
-def kl_divergence(p, q) -> float:
-    """KL divergence sum(p * ln(p/q)); q is floored at 1e-12.
-
-    Terms with p == 0 contribute zero.
+    Returns ``(ce, grad)``: ``ce[i]`` is the negative log softmax probability
+    of ``labels[i]``, and ``grad`` is the gradient of ``ce`` with respect to
+    the logits, ``softmax(logits) - onehot(labels)``. One row max, one ``exp``
+    and one row sum serve both; the gradient is written over the
+    probabilities in place.
     """
-    p, q = as_vector(p, "p"), as_vector(q, "q")
-    if p.shape != q.shape:
-        raise ShapeError(f"length mismatch: {p.shape} vs {q.shape}")
-    q = np.maximum(q, KL_FLOOR)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def vec_norm(v, kind: str = "l2") -> float:
-    """L1 or L2 norm of a nonempty vector."""
-    v = as_vector(v, "v")
-    if v.size == 0:
-        raise EmptyInputError("norm of an empty vector")
-    if kind == "l1":
-        return float(np.sum(np.abs(v)))
-    if kind == "l2":
-        return float(np.sqrt(np.sum(v * v)))
-    raise ValueError(f"unknown norm kind {kind!r} (expected 'l1' or 'l2')")
+    z = as_matrix(logits, "logits")
+    n, num_classes = z.shape
+    if n == 0 or num_classes == 0:
+        raise EmptyInputError(f"cross-entropy of an empty batch: logits have shape {z.shape}")
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (n,):
+        raise ShapeError(f"labels have shape {y.shape}, expected ({n},)")
+    if y.min() < 0 or y.max() >= num_classes:
+        raise IndexError(f"labels must lie in [0, {num_classes}), got range [{y.min()}, {y.max()}]")
+    shifted = z - z.max(axis=1, keepdims=True)
+    grad = np.exp(shifted)
+    total = grad.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    ce = np.log(total[:, 0]) - shifted[rows, y]
+    grad /= total
+    grad[rows, y] -= 1.0
+    return ce, grad

@@ -15,6 +15,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracle
 from inkrementa import numkit
 from inkrementa.continual import weight_align
 from inkrementa.data import LabeledDataset
@@ -114,19 +115,19 @@ def test_c01_gradients_match_finite_differences_for_every_loss():
 
     def total_loss(model, alpha, distill_loss):
         logits, _ = model.forward_batch(X)
-        ce = np.mean([numkit.cross_entropy(logits[i], int(y[i])) for i in range(4)])
+        ce = np.mean([oracle.cross_entropy(logits[i], int(y[i])) for i in range(4)])
         if alpha == 0.0:
             return ce
         t_logits, _ = teacher.forward_batch(X)
         s = logits[:, : t_logits.shape[1]]
         if distill_loss == "mse":
-            d = np.mean([numkit.mse(s[i], t_logits[i]) for i in range(4)])
+            d = np.mean([oracle.mse(s[i], t_logits[i]) for i in range(4)])
         elif distill_loss == "l1":
-            d = np.mean([numkit.l1_loss(s[i], t_logits[i]) for i in range(4)])
+            d = np.mean([oracle.l1_loss(s[i], t_logits[i]) for i in range(4)])
         else:
             d = np.mean(
                 [
-                    numkit.kl_divergence(numkit.softmax(t_logits[i]), numkit.softmax(s[i]))
+                    oracle.kl_divergence(oracle.softmax(t_logits[i]), oracle.softmax(s[i]))
                     for i in range(4)
                 ]
             )

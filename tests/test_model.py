@@ -4,10 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracle
 from inkrementa import numkit
-from inkrementa.errors import ConfigError, ShapeError, VersionError
+from inkrementa.errors import ConfigError, EmptyInputError, ShapeError, VersionError
 from inkrementa.model import (
     DISTILL_LOSSES,
+    DISTILL_TABLE,
     MODEL_FORMAT_VERSION,
     IncModel,
     ModelConfig,
@@ -199,6 +201,14 @@ def test_step_rejects_out_of_range_labels():
         model.backward_and_step(np.ones((2, 6)), np.array([0, 3]))
 
 
+def test_step_rejects_an_empty_batch():
+    model = make_model(num_classes=3)
+    before = model.head.copy()
+    with pytest.raises(EmptyInputError):
+        model.backward_and_step(np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
+    npt.assert_array_equal(model.head, before)
+
+
 # -- gradient behavior -----------------------------------------------------------
 
 
@@ -262,7 +272,7 @@ def test_returned_loss_is_pre_step():
     # the same batch re-evaluated on the stepped model must beat the reported
     # pre-step loss on this convex-enough step
     second = probe.backward_and_step(X, y)
-    assert first == pytest.approx(np.mean([numkit.cross_entropy(l, int(t)) for l, t in zip(model.forward_batch(X)[0], y)]))
+    assert first == pytest.approx(np.mean([oracle.cross_entropy(l, int(t)) for l, t in zip(model.forward_batch(X)[0], y)]))
     assert second < first
 
 
@@ -272,19 +282,19 @@ def relative_gradient_errors(student, teacher, X, y, alpha, distill_loss, h=1e-5
     def loss_of(model):
         logits, _ = model.forward_batch(X)
         n = X.shape[0]
-        ce = np.mean([numkit.cross_entropy(logits[i], int(y[i])) for i in range(n)])
+        ce = np.mean([oracle.cross_entropy(logits[i], int(y[i])) for i in range(n)])
         if alpha == 0.0:
             return (1 - alpha) * ce
         t_logits, _ = teacher.forward_batch(X)
         u = t_logits.shape[1]
         s = logits[:, :u]
         if distill_loss == "mse":
-            d = np.mean([numkit.mse(s[i], t_logits[i]) for i in range(n)])
+            d = np.mean([oracle.mse(s[i], t_logits[i]) for i in range(n)])
         elif distill_loss == "l1":
-            d = np.mean([numkit.l1_loss(s[i], t_logits[i]) for i in range(n)])
+            d = np.mean([oracle.l1_loss(s[i], t_logits[i]) for i in range(n)])
         else:
             d = np.mean(
-                [numkit.kl_divergence(numkit.softmax(t_logits[i]), numkit.softmax(s[i])) for i in range(n)]
+                [oracle.kl_divergence(oracle.softmax(t_logits[i]), oracle.softmax(s[i])) for i in range(n)]
             )
         return (1 - alpha) * ce + alpha * d
 
@@ -387,6 +397,94 @@ def test_train_epochs_covers_partial_final_batch():
     losses = train_epochs(model, X, y, numkit.make_rng(3))
     assert len(losses) == 1
     assert not np.array_equal(model.head, before)
+
+
+@pytest.mark.parametrize("shape", [(9,), (11,), (10, 1)], ids=["shorter", "longer", "column"])
+def test_train_epochs_rejects_labels_that_do_not_match_the_rows(shape):
+    model = make_model(num_classes=3)
+    X = numkit.make_rng(2).normal(size=(10, 6))
+    with pytest.raises(ShapeError, match="labels"):
+        train_epochs(model, X, np.zeros(shape, dtype=np.int64), numkit.make_rng(3))
+
+
+@pytest.mark.parametrize(
+    "setting", [{"epochs": 0}, {"epochs": -1}, {"batch_size": 0}, {"batch_size": -4}],
+    ids=lambda setting: "{}={}".format(*next(iter(setting.items()))),
+)
+def test_train_epochs_rejects_explicit_settings_below_one(setting):
+    model = make_model(num_classes=3)
+    X = numkit.make_rng(2).normal(size=(10, 6))
+    y = numkit.make_rng(2).integers(0, 3, size=10)
+    with pytest.raises(ConfigError, match=next(iter(setting))):
+        train_epochs(model, X, y, numkit.make_rng(3), **setting)
+
+
+# -- bit-identity with the frozen reference step -------------------------------------
+
+
+def reference_pair(seed=40):
+    """A 10-class teacher and its 15-class student at the default architecture."""
+    cfg = ModelConfig(hidden_dims=(64, 32), learning_rate=0.1, batch_size=32, epochs_per_stage=3)
+    teacher_model = IncModel.init(cfg, 8, 10, numkit.make_rng(seed))
+    X = numkit.make_rng(seed + 1).normal(size=(32, 8))
+    for _ in range(5):
+        teacher_model.backward_and_step(X, np.arange(32) % 10)
+    student = teacher_model.copy()
+    student.expand_head(5, numkit.make_rng(seed + 2))
+    return student, teacher_model.snapshot()
+
+
+def assert_same_bits(model, ref):
+    for w, rw in zip(model.weights, ref.weights):
+        assert np.array_equal(w, rw)
+    for b, rb in zip(model.biases, ref.biases):
+        assert np.array_equal(b, rb)
+    assert np.array_equal(model.head, ref.head)
+
+
+@pytest.mark.parametrize("distill_loss", DISTILL_LOSSES)
+def test_distill_table_is_bit_identical_to_the_reference_chain(distill_loss):
+    rng = numkit.make_rng(42)
+    for rows in (32, 13):
+        logits = rng.normal(size=(rows, 15)) * 3.0
+        t_logits = rng.normal(size=(rows, 10)) * 3.0
+        t_logits[0, 1] = -1000.0  # a teacher probability that underflows to 0
+        value, grad = DISTILL_TABLE[distill_loss](logits[:, :10], t_logits)
+        ref_value, ref_grad = oracle.reference_distill(distill_loss, logits[:, :10], t_logits)
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("rows", [32, 13], ids=["full", "ragged"])
+@pytest.mark.parametrize("alpha", [0.0, 0.05])
+@pytest.mark.parametrize("distill_loss", DISTILL_LOSSES)
+def test_step_is_bit_identical_to_the_reference_step(distill_loss, alpha, rows):
+    model, teacher = reference_pair()
+    ref = model.copy()
+    teacher = teacher if alpha > 0 else None
+    rng = numkit.make_rng(41)
+    for _ in range(6):
+        X = rng.normal(size=(rows, 8)) * 2.0
+        y = rng.integers(0, 15, size=rows)
+        loss = model.backward_and_step(X, y, teacher=teacher, alpha=alpha, distill_loss=distill_loss)
+        ref_loss = oracle.reference_step(ref, X, y, teacher=teacher, alpha=alpha, distill_loss=distill_loss)
+        assert np.array_equal(loss, ref_loss)
+        assert_same_bits(model, ref)
+
+
+@pytest.mark.parametrize("distill_loss, alpha", [("mse", 0.0), ("mse", 0.05), ("l1", 0.05), ("kld", 0.05)])
+def test_train_epochs_is_bit_identical_to_a_per_batch_gather_loop(distill_loss, alpha):
+    model, teacher = reference_pair(seed=50)
+    ref = model.copy()
+    teacher = teacher if alpha > 0 else None
+    data = numkit.make_rng(51)
+    X = data.normal(size=(77, 8))  # 2 full batches of 32 and one of 13
+    y = data.integers(0, 15, size=77)
+    settings = dict(epochs=3, batch_size=32, lr=0.05, teacher=teacher, alpha=alpha, distill_loss=distill_loss)
+    losses = train_epochs(model, X, y, numkit.make_rng(52), **settings)
+    ref_losses = oracle.reference_train_epochs(ref, X, y, numkit.make_rng(52), **settings)
+    assert np.array_equal(losses, ref_losses)
+    assert_same_bits(model, ref)
 
 
 # -- teacher snapshots ----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the numeric primitives: matmul, softmax, losses, norms, rng."""
+"""Tests for the numeric primitives and their oracles: matmul, softmax, losses, norms, rng."""
 
 import math
 
@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from inkrementa import numkit
-from inkrementa.errors import EmptyInputError, ShapeError
+from inkrementa.errors import EmptyInputError, NonFiniteError, ShapeError
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 vectors = st.lists(finite_floats, min_size=1, max_size=16)
@@ -19,12 +20,12 @@ vectors = st.lists(finite_floats, min_size=1, max_size=16)
 
 
 def test_matmul_identity():
-    out = numkit.matmul([[1, 0], [0, 1]], [[3], [4]])
+    out = oracle.matmul([[1, 0], [0, 1]], [[3], [4]])
     npt.assert_array_equal(out, [[3], [4]])
 
 
 def test_matmul_hand_case():
-    out = numkit.matmul([[1, 2]], [[3], [4]])
+    out = oracle.matmul([[1, 2]], [[3], [4]])
     npt.assert_array_equal(out, [[11]])
 
 
@@ -37,13 +38,13 @@ def test_matmul_matches_triple_loop_oracle():
         for j in range(8):
             for k in range(8):
                 expected[i, j] += a[i, k] * b[k, j]
-    out = numkit.matmul(a, b)
+    out = oracle.matmul(a, b)
     assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as err:
-        numkit.matmul(np.ones((2, 3)), np.ones((2, 3)))
+        oracle.matmul(np.ones((2, 3)), np.ones((2, 3)))
     assert "(2, 3)" in str(err.value)
 
 
@@ -58,11 +59,11 @@ def test_matrix_rejects_non_finite():
 
 
 def test_softmax_uniform():
-    npt.assert_allclose(numkit.softmax([0, 0, 0]), [1 / 3] * 3, atol=1e-15)
+    npt.assert_allclose(oracle.softmax([0, 0, 0]), [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_large_logits_no_overflow():
-    out = numkit.softmax([1000.0, 0.0])
+    out = oracle.softmax([1000.0, 0.0])
     assert np.all(np.isfinite(out))
     assert out[0] > 1 - 1e-12 and out[1] < 1e-12
 
@@ -70,12 +71,12 @@ def test_softmax_large_logits_no_overflow():
 def test_softmax_matches_direct_formula():
     z = np.array([1.0, 2.0, 3.0])
     direct = np.exp(z) / np.exp(z).sum()
-    assert np.max(np.abs(numkit.softmax(z) - direct)) <= 1e-12
+    assert np.max(np.abs(oracle.softmax(z) - direct)) <= 1e-12
 
 
 def test_softmax_empty_vector():
     with pytest.raises(EmptyInputError):
-        numkit.softmax([])
+        oracle.softmax([])
 
 
 @given(vectors)
@@ -83,7 +84,7 @@ def test_softmax_sums_to_one_and_stays_finite(v):
     # float64 underflows exp(z - max) to 0.0 once the logit gap passes ~745,
     # so entries live in [0, 1]; the load-bearing properties are the sum and
     # the absence of NaN/Inf at magnitudes up to 1e3.
-    out = numkit.softmax(v)
+    out = oracle.softmax(v)
     assert np.all(np.isfinite(out))
     assert np.all(out >= 0) and np.all(out <= 1 + 1e-12)
     assert abs(out.sum() - 1.0) <= 1e-12
@@ -94,15 +95,15 @@ def test_softmax_rows_matches_per_row():
     z = rng.normal(size=(6, 4)) * 100
     rows = numkit.softmax_rows(z)
     for i in range(6):
-        npt.assert_allclose(rows[i], numkit.softmax(z[i]), atol=1e-15)
+        npt.assert_allclose(rows[i], oracle.softmax(z[i]), atol=1e-15)
 
 
 def test_cross_entropy_uniform_two_logits():
-    assert abs(numkit.cross_entropy([0.0, 0.0], 0) - math.log(2)) <= 1e-12
+    assert abs(oracle.cross_entropy([0.0, 0.0], 0) - math.log(2)) <= 1e-12
 
 
 def test_cross_entropy_saturated():
-    assert numkit.cross_entropy([10.0, -10.0], 0) < 1e-8
+    assert oracle.cross_entropy([10.0, -10.0], 0) < 1e-8
 
 
 def test_cross_entropy_matches_direct_oracle():
@@ -110,75 +111,104 @@ def test_cross_entropy_matches_direct_oracle():
     z = rng.normal(size=5) * 3
     for label in range(5):
         direct = -np.log(np.exp(z)[label] / np.exp(z).sum())
-        assert abs(numkit.cross_entropy(z, label) - direct) <= 1e-12
+        assert abs(oracle.cross_entropy(z, label) - direct) <= 1e-12
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(IndexError):
-        numkit.cross_entropy([0.0, 0.0], 2)
+        oracle.cross_entropy([0.0, 0.0], 2)
     with pytest.raises(IndexError):
-        numkit.cross_entropy([0.0, 0.0], -1)
+        oracle.cross_entropy([0.0, 0.0], -1)
 
 
 @given(vectors, st.data())
 def test_cross_entropy_non_negative(v, data):
     label = data.draw(st.integers(min_value=0, max_value=len(v) - 1))
-    assert numkit.cross_entropy(v, label) >= 0.0
+    assert oracle.cross_entropy(v, label) >= 0.0
+
+
+def test_softmax_cross_entropy_matches_per_row_oracle():
+    rng = numkit.make_rng(8)
+    z = rng.normal(size=(7, 5)) * 30
+    y = rng.integers(0, 5, size=7)
+    keep = z.copy()
+    ce, grad = numkit.softmax_cross_entropy(z, y)
+    npt.assert_array_equal(z, keep)
+    for i in range(7):
+        assert abs(ce[i] - oracle.cross_entropy(z[i], int(y[i]))) <= 1e-12
+    onehot = np.zeros_like(z)
+    onehot[np.arange(7), y] = 1.0
+    npt.assert_array_equal(grad, numkit.softmax_rows(z) - onehot)
+
+
+def test_softmax_cross_entropy_rejects_bad_inputs():
+    with pytest.raises(EmptyInputError):
+        numkit.softmax_cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(EmptyInputError):
+        numkit.softmax_cross_entropy(np.zeros((2, 0)), [0, 0])
+    with pytest.raises(ShapeError):
+        numkit.softmax_cross_entropy(np.zeros((2, 3)), [0, 1, 2])
+    with pytest.raises(IndexError):
+        numkit.softmax_cross_entropy(np.zeros((2, 3)), [0, 3])
+    with pytest.raises(IndexError):
+        numkit.softmax_cross_entropy(np.zeros((2, 3)), [-1, 0])
+    with pytest.raises(NonFiniteError):
+        numkit.softmax_cross_entropy([[0.0, np.inf]], [0])
 
 
 # -- distance losses ----------------------------------------------------------
 
 
 def test_mse_identity_and_unit_offset():
-    assert numkit.mse([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert numkit.mse([1.0, 1.0], [0.0, 0.0]) == 1.0
+    assert oracle.mse([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert oracle.mse([1.0, 1.0], [0.0, 0.0]) == 1.0
 
 
 def test_mse_matches_elementwise_oracle():
     rng = numkit.make_rng(3)
     a, b = rng.normal(size=12), rng.normal(size=12)
     direct = sum((x - y) ** 2 for x, y in zip(a, b)) / 12
-    assert abs(numkit.mse(a, b) - direct) <= 1e-12
+    assert abs(oracle.mse(a, b) - direct) <= 1e-12
 
 
 def test_mse_shape_mismatch():
     with pytest.raises(ShapeError):
-        numkit.mse([1.0], [1.0, 2.0])
+        oracle.mse([1.0], [1.0, 2.0])
 
 
 def test_l1_loss_hand_case_and_oracle():
-    assert numkit.l1_loss([2.0], [0.0]) == 2.0
+    assert oracle.l1_loss([2.0], [0.0]) == 2.0
     rng = numkit.make_rng(4)
     a, b = rng.normal(size=9), rng.normal(size=9)
     direct = sum(abs(x - y) for x, y in zip(a, b)) / 9
-    assert abs(numkit.l1_loss(a, b) - direct) <= 1e-12
+    assert abs(oracle.l1_loss(a, b) - direct) <= 1e-12
 
 
 def test_kl_identity_is_zero():
     p = np.array([0.2, 0.3, 0.5])
-    assert numkit.kl_divergence(p, p) == 0.0
+    assert oracle.kl_divergence(p, p) == 0.0
 
 
 def test_kl_matches_direct_formula():
     p, q = np.array([0.9, 0.1]), np.array([0.5, 0.5])
     direct = 0.9 * math.log(0.9 / 0.5) + 0.1 * math.log(0.1 / 0.5)
-    assert abs(numkit.kl_divergence(p, q) - direct) <= 1e-12
+    assert abs(oracle.kl_divergence(p, q) - direct) <= 1e-12
 
 
 def test_kl_floors_q_zeros():
-    out = numkit.kl_divergence([0.5, 0.5], [1.0, 0.0])
+    out = oracle.kl_divergence([0.5, 0.5], [1.0, 0.0])
     expected = 0.5 * math.log(0.5 / 1.0) + 0.5 * math.log(0.5 / 1e-12)
     assert math.isfinite(out)
     assert abs(out - expected) <= 1e-9
 
 
 def test_kl_zero_p_entries_contribute_nothing():
-    assert numkit.kl_divergence([0.0, 1.0], [0.5, 0.5]) == pytest.approx(math.log(2))
+    assert oracle.kl_divergence([0.0, 1.0], [0.5, 0.5]) == pytest.approx(math.log(2))
 
 
 def test_kl_shape_mismatch():
     with pytest.raises(ShapeError):
-        numkit.kl_divergence([1.0], [0.5, 0.5])
+        oracle.kl_divergence([1.0], [0.5, 0.5])
 
 
 @given(
@@ -192,29 +222,29 @@ def test_kl_non_negative_for_valid_distributions(raw_p, data):
     )
     p = np.array(raw_p) / np.sum(raw_p)
     q = np.array(raw_q) / np.sum(raw_q)
-    assert numkit.kl_divergence(p, q) >= -1e-12
+    assert oracle.kl_divergence(p, q) >= -1e-12
 
 
 # -- norms ----------------------------------------------------------------------
 
 
 def test_vec_norm_hand_cases():
-    assert numkit.vec_norm([3.0, 4.0], "l2") == 5.0
-    assert numkit.vec_norm([3.0, -4.0], "l1") == 7.0
+    assert oracle.vec_norm([3.0, 4.0], "l2") == 5.0
+    assert oracle.vec_norm([3.0, -4.0], "l1") == 7.0
 
 
 def test_vec_norm_matches_direct_oracle():
     rng = numkit.make_rng(9)
     v = rng.normal(size=20)
-    assert abs(numkit.vec_norm(v, "l2") - math.sqrt(sum(x * x for x in v))) <= 1e-12
-    assert abs(numkit.vec_norm(v, "l1") - sum(abs(x) for x in v)) <= 1e-12
+    assert abs(oracle.vec_norm(v, "l2") - math.sqrt(sum(x * x for x in v))) <= 1e-12
+    assert abs(oracle.vec_norm(v, "l1") - sum(abs(x) for x in v)) <= 1e-12
 
 
 def test_vec_norm_empty_and_unknown_kind():
     with pytest.raises(EmptyInputError):
-        numkit.vec_norm([])
+        oracle.vec_norm([])
     with pytest.raises(ValueError):
-        numkit.vec_norm([1.0], "l3")
+        oracle.vec_norm([1.0], "l3")
 
 
 # -- seeded rng ------------------------------------------------------------------
