@@ -17,7 +17,7 @@ import numpy as np
 from . import numkit
 from .data import LabeledDataset
 from .errors import ConfigError, ConflictError, DegenerateHeadError, EmptyInputError, ShapeError
-from .model import DISTILL_LOSSES, IncModel, ModelConfig, train_epochs
+from .model import DISTILL_LOSSES, IncModel, train_epochs
 
 WA_NORMS = ("l1", "l2")
 
@@ -28,29 +28,18 @@ ALPHA_BASE = 0.1  # mixing schedule: alpha = 0.1 * u / (u + v)
 class ExemplarStore:
     """Per-class retained samples, keyed by (remapped) class id.
 
-    Classes are only ever added; each holds min(capacity, available) rows.
+    Classes are only ever added; each holds min(k, available) rows, where k
+    is the one passed to ``build_exemplar_store``.
     """
 
-    capacity_per_class: int
     per_class: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.capacity_per_class < 1:
-            raise ValueError(f"capacity_per_class must be >= 1, got {self.capacity_per_class}")
 
     @property
     def class_ids(self) -> tuple[int, ...]:
         return tuple(self.per_class)
 
-    @property
-    def total_samples(self) -> int:
-        return sum(rows.shape[0] for rows in self.per_class.values())
-
     def copy(self) -> "ExemplarStore":
-        return ExemplarStore(
-            capacity_per_class=self.capacity_per_class,
-            per_class={c: rows.copy() for c, rows in self.per_class.items()},
-        )
+        return ExemplarStore({c: rows.copy() for c, rows in self.per_class.items()})
 
     def flatten(self) -> tuple[np.ndarray, np.ndarray]:
         """All retained rows and their labels, in class-insertion order."""
@@ -106,14 +95,6 @@ def _normalized_embeddings(model: IncModel, samples: np.ndarray) -> np.ndarray:
     return embeddings / np.where(norms > 0, norms, 1.0)
 
 
-def class_feature_center(model: IncModel, samples: np.ndarray) -> np.ndarray:
-    """Mean of the L2-normalized embeddings of one class's samples.
-
-    A zero embedding normalizes to itself.
-    """
-    return _normalized_embeddings(model, samples).mean(axis=0)
-
-
 def herding_select(model: IncModel, samples: np.ndarray, k: int) -> list[int]:
     """Indices of the k samples nearest (Euclidean) to the class feature center.
 
@@ -141,7 +122,7 @@ def build_exemplar_store(
     Returns a new store; ``existing`` is never mutated and its rows are never
     re-selected under the new model.
     """
-    store = existing.copy() if existing is not None else ExemplarStore(capacity_per_class=k)
+    store = existing.copy() if existing is not None else ExemplarStore()
     overlap = set(dataset.class_ids) & set(store.per_class)
     if overlap:
         raise ConflictError(f"classes {sorted(overlap)} already have exemplars")
@@ -187,7 +168,6 @@ def ccs_stage_update(
     new_data: LabeledDataset,
     store: ExemplarStore,
     settings: CcsSettings,
-    config: ModelConfig,
     rng: np.random.Generator,
 ) -> tuple[IncModel, ExemplarStore, list[float]]:
     """One incremental stage: expand, train with replay + distillation, align.
@@ -197,7 +177,8 @@ def ccs_stage_update(
     training rows still gets a head row, but no exemplars. The rng is consumed
     in a fixed order (head expansion draws, then one shuffle per epoch)
     regardless of the toggles, so seed-matched runs differing only in toggles
-    see identical batches.
+    see identical batches. Training uses ``prev.config``'s epochs, batch size
+    and learning rate.
 
     Returns (updated model, extended store, per-epoch losses). Exemplars for
     the new classes are selected with the updated model and frozen thereafter.
@@ -232,10 +213,7 @@ def ccs_stage_update(
         labels = new_data.labels
 
     losses = train_epochs(
-        student, features, labels, rng,
-        epochs=config.epochs_per_stage, batch_size=config.batch_size,
-        lr=config.learning_rate,
-        teacher=teacher, alpha=alpha, distill_loss=settings.distill_loss,
+        student, features, labels, rng, teacher=teacher, alpha=alpha, distill_loss=settings.distill_loss
     )
 
     if settings.use_weight_align:

@@ -81,10 +81,6 @@ class StagePlan:
             raise PlanError(f"plan groups overlap on class ids {dupes}")
         object.__setattr__(self, "groups", groups)
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.groups)
-
     def all_classes(self) -> tuple[int, ...]:
         return tuple(c for g in self.groups for c in g)
 
@@ -135,10 +131,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[LabeledDataset, LabeledData
     return train, test
 
 
-def load_csv(path, has_header: bool = False) -> LabeledDataset:
+def load_csv(path) -> LabeledDataset:
     """Parse "label,f1,...,fD" rows; ragged or non-numeric rows are rejected.
 
-    Error messages cite 1-based line numbers (the header counts as line 1).
+    The header is optional: line 1 is a header iff its label cell is not an
+    integer. Error messages cite 1-based line numbers (a header is line 1).
     """
     path = Path(path)
     if not path.exists():
@@ -150,16 +147,16 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
             if not row or (len(row) == 1 and row[0].strip() == ""):
                 continue
-            if len(row) < 2:
-                raise ParseError(f"expected 'label,f1,...' but found {len(row)} field(s)", lineno)
             try:
                 label = int(row[0])
             except ValueError:
+                if lineno == 1:  # a header names its columns
+                    continue
                 raise ParseError(f"label {row[0]!r} is not an integer", lineno) from None
+            if len(row) < 2:
+                raise ParseError(f"expected 'label,f1,...' but found {len(row)} field(s)", lineno)
             if label < 0:
                 raise ParseError(f"label must be non-negative, got {label}", lineno)
             try:
@@ -178,13 +175,12 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     return LabeledDataset(np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64))
 
 
-def save_csv(dataset: LabeledDataset, path, header: bool = True) -> None:
-    """Write a dataset in the "label,f1,...,fD" format (repr floats, lossless)."""
+def save_csv(dataset: LabeledDataset, path) -> None:
+    """Write a "label,f1,...,fD" header, then one row per sample (repr floats, lossless)."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(["label"] + [f"f{i + 1}" for i in range(dataset.input_dim)])
+        writer.writerow(["label"] + [f"f{i + 1}" for i in range(dataset.input_dim)])
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([int(label)] + [repr(float(v)) for v in row])
 

@@ -43,10 +43,6 @@ class DegenerateHeadError(InkrementaError, ValueError):
     """Weight aligning is undefined because every new head row is zero."""
 
 
-class VersionError(InkrementaError, ValueError):
-    """A serialized artifact carries an unsupported version tag."""
-
-
 class MappingError(InkrementaError, ValueError):
     """A test sample carries a class id the model has never seen."""
 

@@ -328,20 +328,7 @@ def canonical_json(value, indent: int = 0) -> str:
 def _load_pools(config: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
     if isinstance(config.data, SyntheticSpec):
         return generate_synthetic(config.data)
-    train = load_csv(config.data.train, has_header=_sniff_header(config.data.train))
-    test = load_csv(config.data.test, has_header=_sniff_header(config.data.test))
-    return train, test
-
-
-def _sniff_header(path) -> bool:
-    """A CSV starts with a header iff its first cell is not an integer label."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    try:
-        int(first.split(",", 1)[0])
-        return False
-    except ValueError:
-        return True
+    return load_csv(config.data.train), load_csv(config.data.test)
 
 
 @contextmanager
@@ -443,7 +430,7 @@ def run_scenario(config: ScenarioConfig, run_id: str | None = None, base: BaseSt
     for i, (stage_train, stage_test) in enumerate(base.stages[1:], start=1):
         t0 = time.perf_counter()
         with _stage(i):
-            model, store, losses = ccs_stage_update(model, stage_train, store, config.ccs, config.model, rng)
+            model, store, losses = ccs_stage_update(model, stage_train, store, config.ccs, rng)
             seen_tests.append((i, stage_test))
             reports.append(_stage_report(i, model, seen_tests, losses, t0))
 
@@ -489,7 +476,7 @@ def run_ablation(
     if not matrix:
         raise ValueError("ablation matrix is empty")
     if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
+        raise ConfigError(f"seeds must be >= 1, got {seeds}")
 
     variants: list[tuple[str, CcsSettings]] = []
     seen_settings: dict[CcsSettings, str] = {}

@@ -17,17 +17,12 @@ Weight convention: layer matrices have shape (out_dim, in_dim), so a batch
 
 from __future__ import annotations
 
-import copy
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numkit
-from .errors import ConfigError, DivergenceError, NonFiniteError, ShapeError, VersionError
-
-MODEL_FORMAT_VERSION = "inkrementa-model-v1"
+from .errors import ConfigError, DivergenceError, NonFiniteError, ShapeError
 
 
 def _mse_distill(s_logits: np.ndarray, t_logits: np.ndarray):
@@ -135,14 +130,6 @@ class IncModel:
         )
 
     # -- inference ---------------------------------------------------------
-
-    def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Single-sample pass; returns (logits, embedding)."""
-        x = numkit.as_vector(x, "x")
-        if x.size != self.input_dim:
-            raise ShapeError(f"input has length {x.size}, model expects {self.input_dim}")
-        logits, embeddings = self.forward_batch(x[None, :])
-        return logits[0], embeddings[0]
 
     def forward_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Batched pass; returns (logits (n, C), embeddings (n, E)).
@@ -260,49 +247,6 @@ class IncModel:
             self.biases[k] -= lr * d_b
         return float(loss)
 
-    # -- persistence -----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "version": MODEL_FORMAT_VERSION,
-            "config": {"input_dim": self.input_dim, **asdict(self.config)},
-            "num_classes": self.num_classes,
-            "layers": [
-                {"shape": list(w.shape), "weight": w.tolist(), "bias": b.tolist()}
-                for w, b in zip(self.weights, self.biases)
-            ],
-            "head_shape": list(self.head.shape),
-            "head": self.head.tolist(),
-        }
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IncModel":
-        version = d.get("version")
-        if version != MODEL_FORMAT_VERSION:
-            raise VersionError(f"unsupported model version {version!r}, expected {MODEL_FORMAT_VERSION!r}")
-        settings = dict(d["config"])
-        input_dim = settings.pop("input_dim")
-        config = ModelConfig(**settings)
-        weights = [np.array(layer["weight"], dtype=np.float64) for layer in d["layers"]]
-        biases = [np.array(layer["bias"], dtype=np.float64) for layer in d["layers"]]
-        head = np.array(d["head"], dtype=np.float64)
-        for layer, w in zip(d["layers"], weights):
-            if list(w.shape) != layer["shape"]:
-                raise ValueError(f"layer weight shape {list(w.shape)} does not match recorded {layer['shape']}")
-        if list(head.shape) != d["head_shape"]:
-            raise ValueError(f"head shape {list(head.shape)} does not match recorded {d['head_shape']}")
-        model = cls(config=config, weights=weights, biases=biases, head=head)
-        if model.input_dim != input_dim:
-            raise ValueError(f"layers take input_dim {model.input_dim}, but {input_dim} is recorded")
-        return model
-
-    @classmethod
-    def load(cls, path) -> "IncModel":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
 
 class TeacherSnapshot:
     """Deep, read-only copy of a model; outputs never change over its lifetime."""
@@ -316,9 +260,6 @@ class TeacherSnapshot:
     def num_classes(self) -> int:
         return self._model.num_classes
 
-    def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
-        return self._model.forward(x)
-
     def forward_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         return self._model.forward_batch(X)
 
@@ -329,28 +270,20 @@ def train_epochs(
     labels: np.ndarray,
     rng: np.random.Generator,
     *,
-    epochs: int | None = None,
-    batch_size: int | None = None,
-    lr: float | None = None,
     teacher: TeacherSnapshot | None = None,
     alpha: float = 0.0,
     distill_loss: str = "mse",
 ) -> list[float]:
     """Shuffled mini-batch SGD; returns per-epoch mean losses.
 
+    Epoch count, batch size and learning rate are the model's ``config``.
     The only randomness is one ``rng.permutation`` per epoch, which keeps the
     draw sequence identical across loss configurations for the same seed.
     Non-finite logits on the already-checked features mean the model itself
     diverged, which raises ``DivergenceError`` naming the epoch.
     """
     cfg = model.config
-    epochs = cfg.epochs_per_stage if epochs is None else epochs
-    batch_size = cfg.batch_size if batch_size is None else batch_size
-    lr = cfg.learning_rate if lr is None else lr
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    epochs, batch_size = cfg.epochs_per_stage, cfg.batch_size
     features = numkit.as_matrix(features, "features")
     labels = np.asarray(labels, dtype=np.int64)
     n = features.shape[0]
@@ -368,8 +301,7 @@ def train_epochs(
             for start in range(0, n, batch_size):
                 stop = min(start + batch_size, n)
                 loss = model.backward_and_step(
-                    X[start:stop], y[start:stop], teacher=teacher, alpha=alpha,
-                    distill_loss=distill_loss, lr=lr,
+                    X[start:stop], y[start:stop], teacher=teacher, alpha=alpha, distill_loss=distill_loss
                 )
                 total += loss * (stop - start)
         except NonFiniteError as exc:

@@ -40,14 +40,6 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Coerce to a 1-D float64 array."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got {v.ndim}-D")
-    return v
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a 2-D logits array."""
     z = as_matrix(logits, "logits")

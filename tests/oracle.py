@@ -13,7 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from inkrementa.errors import EmptyInputError, ShapeError
-from inkrementa.numkit import KL_FLOOR, as_matrix, as_vector
+from inkrementa.numkit import KL_FLOOR, as_matrix
+
+
+def as_vector(values, name: str = "vector") -> np.ndarray:
+    """Coerce to a 1-D float64 array."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ShapeError(f"{name} must be 1-D, got {v.ndim}-D")
+    return v
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

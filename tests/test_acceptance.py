@@ -239,7 +239,7 @@ def test_c04_all_toggles_off_is_bit_identical_to_plain_fine_tuning():
     )
 
     ctx = CcsSettings(**ALL_OFF)
-    model, _, _ = ccs_stage_update(prev, new_data, store, ctx, cfg, numkit.make_rng(43))
+    model, _, _ = ccs_stage_update(prev, new_data, store, ctx, numkit.make_rng(43))
 
     rng = numkit.make_rng(43)
     weights = [w.copy() for w in prev.weights]

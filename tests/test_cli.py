@@ -33,8 +33,8 @@ def test_gen_data_writes_loadable_csvs(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "data"
     assert cli.main(["gen-data", "--config", str(config), "--out", str(out)]) == 0
-    train = load_csv(out / "train.csv", has_header=True)
-    test = load_csv(out / "test.csv", has_header=True)
+    train = load_csv(out / "train.csv")
+    test = load_csv(out / "test.csv")
     assert train.n_samples == 8 * 15 and test.n_samples == 8 * 4
     assert "train.csv" in capsys.readouterr().out
 
@@ -156,6 +156,13 @@ def test_ablate_writes_reports_and_tables(tmp_path, capsys):
     table = (out / "comparison.csv").read_text().splitlines()
     assert len(table) == 3  # header + two norm variants
     assert "acc" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_ablate_with_fewer_than_one_seed_exits_2(tmp_path, capsys, seeds):
+    config = write_config(tmp_path)
+    assert cli.main(["ablate", "--config", str(config), "--seeds", seeds, "--out", str(tmp_path)]) == 2
+    assert "config error: seeds must be >= 1" in capsys.readouterr().err
 
 
 def test_report_merges_runs_into_csv(tmp_path):

@@ -4,13 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from inkrementa import numkit
+from inkrementa import continual, numkit
 from inkrementa.continual import (
     CcsSettings,
     ExemplarStore,
     build_exemplar_store,
     ccs_stage_update,
-    class_feature_center,
     herding_select,
     weight_align,
 )
@@ -34,28 +33,23 @@ def embed_model(input_dim=4, num_classes=3, seed=0, hidden=()):
 # -- ExemplarStore ------------------------------------------------------------
 
 
-def test_store_rejects_zero_capacity():
-    with pytest.raises(ValueError):
-        ExemplarStore(capacity_per_class=0)
-
-
 def test_store_flatten_keeps_class_insertion_order():
-    store = ExemplarStore(capacity_per_class=2)
+    store = ExemplarStore()
     store.per_class[3] = np.array([[1.0, 1.0], [2.0, 2.0]])
     store.per_class[1] = np.array([[3.0, 3.0]])
     feats, labels = store.flatten()
     npt.assert_array_equal(feats, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     npt.assert_array_equal(labels, [3, 3, 1])
-    assert store.total_samples == 3
+    assert store.flatten()[0].shape[0] == 3
 
 
 def test_store_flatten_empty_is_an_error():
     with pytest.raises(EmptyInputError):
-        ExemplarStore(capacity_per_class=1).flatten()
+        ExemplarStore().flatten()
 
 
 def test_store_copy_is_deep():
-    store = ExemplarStore(capacity_per_class=1)
+    store = ExemplarStore()
     store.per_class[0] = np.array([[1.0]])
     dup = store.copy()
     dup.per_class[0][0, 0] = 9.0
@@ -86,26 +80,28 @@ def test_context_validation():
         CcsSettings(alpha_override=1.0)
 
 
-# -- class_feature_center -----------------------------------------------------------
+# -- class feature center (the mean herding measures from) ----------------------------
 
 
 def test_feature_center_single_sample_is_its_normalized_embedding():
     model = embed_model()
     x = np.array([[3.0, 0.0, 4.0, 0.0]])
-    center = class_feature_center(model, x)
+    center = continual._normalized_embeddings(model, x).mean(axis=0)
     npt.assert_allclose(center, [0.6, 0.0, 0.8, 0.0], atol=1e-15)
 
 
 def test_feature_center_symmetric_pair_cancels():
     model = embed_model()
     samples = np.array([[1.0, 2.0, -1.0, 0.5], [-1.0, -2.0, 1.0, -0.5]])
-    npt.assert_allclose(class_feature_center(model, samples), np.zeros(4), atol=1e-15)
+    center = continual._normalized_embeddings(model, samples).mean(axis=0)
+    npt.assert_allclose(center, np.zeros(4), atol=1e-15)
 
 
 def test_feature_center_zero_embedding_maps_to_itself():
     model = embed_model()
     samples = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
-    npt.assert_allclose(class_feature_center(model, samples), [0.5, 0.0, 0.0, 0.0], atol=1e-15)
+    center = continual._normalized_embeddings(model, samples).mean(axis=0)
+    npt.assert_allclose(center, [0.5, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_feature_center_matches_brute_force_oracle():
@@ -117,12 +113,13 @@ def test_feature_center_matches_brute_force_oracle():
         norm = np.sqrt(np.sum(e * e))
         acc += e / norm if norm > 0 else e
     oracle = acc / 10
-    assert np.max(np.abs(class_feature_center(model, samples) - oracle)) <= 1e-12
+    center = continual._normalized_embeddings(model, samples).mean(axis=0)
+    assert np.max(np.abs(center - oracle)) <= 1e-12
 
 
 def test_feature_center_empty_class():
     with pytest.raises(EmptyInputError):
-        class_feature_center(embed_model(), np.zeros((0, 4)))
+        continual._normalized_embeddings(embed_model(), np.zeros((0, 4))).mean(axis=0)
 
 
 # -- herding_select ----------------------------------------------------------------
@@ -192,7 +189,7 @@ def test_build_store_k1_adds_one_entry_per_class():
     ds = class_dataset(10, 6)
     store = build_exemplar_store(model, ds, k=1)
     assert store.class_ids == tuple(range(10))
-    assert store.total_samples == 10
+    assert store.flatten()[0].shape[0] == 10
 
 
 def test_build_store_450_exemplars_case():
@@ -200,7 +197,7 @@ def test_build_store_450_exemplars_case():
     model = embed_model()
     ds = class_dataset(15, 40, seed=2)
     store = build_exemplar_store(model, ds, k=30)
-    assert store.total_samples == 450
+    assert store.flatten()[0].shape[0] == 450
 
 
 def test_build_store_empty_dataset_returns_store_unchanged():
@@ -315,22 +312,22 @@ def test_stage_update_validations():
     rng = numkit.make_rng(1)
     empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
-        ccs_stage_update(prev, empty, store, CcsSettings(), cfg, rng)
+        ccs_stage_update(prev, empty, store, CcsSettings(), rng)
     overlapping = class_dataset(2, 5, first_id=2)
     with pytest.raises(ConflictError):
-        ccs_stage_update(prev, overlapping, store, CcsSettings(), cfg, rng)
+        ccs_stage_update(prev, overlapping, store, CcsSettings(), rng)
     gap = class_dataset(2, 5, first_id=4)  # labels 4,5 but expected 3,4
     with pytest.raises(ValueError):
-        ccs_stage_update(prev, gap, store, CcsSettings(), cfg, rng)
+        ccs_stage_update(prev, gap, store, CcsSettings(), rng)
 
 
 def test_stage_update_grows_model_and_store():
     prev, new_data, store, cfg = stage_inputs(seed=3)
     ctx = CcsSettings(k=1)
-    model, new_store, losses = ccs_stage_update(prev, new_data, store, ctx, cfg, numkit.make_rng(4))
+    model, new_store, losses = ccs_stage_update(prev, new_data, store, ctx, numkit.make_rng(4))
     assert model.num_classes == 5
     assert new_store.class_ids == (0, 1, 2, 3, 4)
-    assert new_store.total_samples == 5
+    assert new_store.flatten()[0].shape[0] == 5
     assert len(losses) == cfg.epochs_per_stage
     # inputs untouched
     assert prev.num_classes == 3
@@ -341,7 +338,7 @@ def test_stage_update_old_store_rows_are_frozen():
     prev, new_data, store, cfg = stage_inputs(seed=5)
     frozen = {c: rows.copy() for c, rows in store.per_class.items()}
     ctx = CcsSettings(k=1)
-    _, new_store, _ = ccs_stage_update(prev, new_data, store, ctx, cfg, numkit.make_rng(6))
+    _, new_store, _ = ccs_stage_update(prev, new_data, store, ctx, numkit.make_rng(6))
     for c, rows in frozen.items():
         npt.assert_array_equal(new_store.per_class[c], rows)
 
@@ -349,7 +346,7 @@ def test_stage_update_old_store_rows_are_frozen():
 def test_stage_update_new_exemplars_use_the_updated_model():
     prev, new_data, store, cfg = stage_inputs(seed=7)
     ctx = CcsSettings(k=2)
-    model, new_store, _ = ccs_stage_update(prev, new_data, store, ctx, cfg, numkit.make_rng(8))
+    model, new_store, _ = ccs_stage_update(prev, new_data, store, ctx, numkit.make_rng(8))
     for c in (3, 4):
         rows = new_data.class_rows(c)
         npt.assert_array_equal(new_store.per_class[c], rows[herding_select(model, rows, 2)])
@@ -357,9 +354,9 @@ def test_stage_update_new_exemplars_use_the_updated_model():
 
 def test_stage_update_weight_align_toggle_changes_only_new_rows_scale():
     prev, new_data, store, cfg = stage_inputs(seed=9)
-    on, _, _ = ccs_stage_update(prev, new_data, store, CcsSettings(), cfg, numkit.make_rng(10))
+    on, _, _ = ccs_stage_update(prev, new_data, store, CcsSettings(), numkit.make_rng(10))
     off, _, _ = ccs_stage_update(prev, new_data, store,
-                                 CcsSettings(use_weight_align=False), cfg, numkit.make_rng(10))
+                                 CcsSettings(use_weight_align=False), numkit.make_rng(10))
     npt.assert_array_equal(on.head[:3], off.head[:3])
     old_mean = np.sqrt((on.head[:3] ** 2).sum(axis=1)).mean()
     new_mean = np.sqrt((on.head[3:] ** 2).sum(axis=1)).mean()
@@ -373,7 +370,7 @@ def test_stage_update_reduces_to_plain_fine_tuning_bit_exactly():
     """All toggles off must equal an independently coded fine-tuning loop."""
     prev, new_data, store, cfg = stage_inputs(seed=11)
     ctx = CcsSettings(use_exemplars=False, use_distillation=False, use_weight_align=False)
-    model, _, _ = ccs_stage_update(prev, new_data, store, ctx, cfg, numkit.make_rng(12))
+    model, _, _ = ccs_stage_update(prev, new_data, store, ctx, numkit.make_rng(12))
 
     # oracle: expand with the same rng draws, then plain CE mini-batch SGD
     rng = numkit.make_rng(12)
@@ -422,8 +419,8 @@ def test_stage_update_distillation_protects_old_logits():
     before, _ = prev.forward_batch(probe)
     ctx_on = CcsSettings(use_exemplars=False, use_weight_align=False, alpha_override=0.9)
     ctx_off = CcsSettings(use_exemplars=False, use_distillation=False, use_weight_align=False)
-    with_kd, _, _ = ccs_stage_update(prev, new_data, store, ctx_on, cfg, numkit.make_rng(15))
-    without, _, _ = ccs_stage_update(prev, new_data, store, ctx_off, cfg, numkit.make_rng(15))
+    with_kd, _, _ = ccs_stage_update(prev, new_data, store, ctx_on, numkit.make_rng(15))
+    without, _, _ = ccs_stage_update(prev, new_data, store, ctx_off, numkit.make_rng(15))
     drift_on = np.mean((with_kd.forward_batch(probe)[0][:, :3] - before) ** 2)
     drift_off = np.mean((without.forward_batch(probe)[0][:, :3] - before) ** 2)
     assert drift_on < drift_off

@@ -78,7 +78,7 @@ def test_plan_rejects_overlap_and_empty_groups():
 
 def test_plan_accessors():
     plan = StagePlan(((0, 1, 2), (3, 4)))
-    assert plan.num_stages == 2
+    assert len(plan.groups) == 2
     assert plan.all_classes() == (0, 1, 2, 3, 4)
 
 
@@ -162,15 +162,8 @@ def test_load_csv_hand_written(tmp_path):
 def test_load_csv_skips_header_when_told(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("label,f1,f2\n0,1.0,2.0\n")
-    ds = load_csv(path, has_header=True)
+    ds = load_csv(path)
     assert ds.n_samples == 1
-
-
-def test_load_csv_header_without_flag_is_parse_error(tmp_path):
-    path = tmp_path / "h.csv"
-    path.write_text("label,f1,f2\n0,1.0,2.0\n")
-    with pytest.raises(ParseError, match="line 1"):
-        load_csv(path)
 
 
 def test_load_csv_ragged_row_cites_line_number(tmp_path):
@@ -217,7 +210,7 @@ def test_csv_round_trip_is_lossless(tmp_path):
     train, _ = generate_synthetic(spec)
     path = tmp_path / "round.csv"
     save_csv(train, path)
-    back = load_csv(path, has_header=True)
+    back = load_csv(path)
     npt.assert_array_equal(back.features, train.features)
     npt.assert_array_equal(back.labels, train.labels)
 

@@ -4,7 +4,6 @@ import json
 from dataclasses import replace
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from inkrementa import numkit
@@ -14,8 +13,6 @@ from inkrementa.harness import (
     ABLATION_PRESETS,
     CcsSettings,
     CsvSource,
-    RunReport,
-    ScenarioConfig,
     StageReport,
     accn,
     canonical_json,
@@ -59,7 +56,7 @@ def test_parse_config_full_document():
     cfg = parse_config(config_doc())
     assert cfg.seed == 3
     assert isinstance(cfg.data, SyntheticSpec) and cfg.data.num_classes == 12
-    assert cfg.plan.num_stages == 3
+    assert len(cfg.plan.groups) == 3
     assert cfg.model.hidden_dims == (16, 8)
     assert cfg.ccs.k == 1 and cfg.ccs.use_exemplars
 
@@ -268,8 +265,8 @@ def test_evaluate_matches_per_sample_hand_count():
     for g, ds in sets:
         ghits = 0
         for x, t in zip(ds.features, ds.labels):
-            logits, _ = model.forward(x)
-            ghits += int(np.argmax(logits) == t)
+            logits, _ = model.forward_batch(x[None, :])
+            ghits += int(np.argmax(logits[0]) == t)
         assert per_group[total // 11] == pytest.approx(ghits / 11)
         hits += ghits
         total += 11
@@ -367,7 +364,9 @@ def test_run_scenario_csv_round_trip(tmp_path):
     spec = SyntheticSpec(num_classes=6, input_dim=3, train_per_class=15, test_per_class=4, seed=8)
     train, test = generate_synthetic(spec)
     save_csv(train, tmp_path / "train.csv")
-    save_csv(test, tmp_path / "test.csv", header=False)
+    save_csv(test, tmp_path / "test.csv")
+    headerless = (tmp_path / "test.csv").read_text().split("\n", 1)[1]
+    (tmp_path / "test.csv").write_text(headerless)
     doc = {
         "seed": 8,
         "data": {"csv": {"train": str(tmp_path / "train.csv"), "test": str(tmp_path / "test.csv")}},
@@ -405,6 +404,30 @@ def test_run_scenario_class_with_test_rows_but_no_train_rows(tmp_path, monkeypat
     model, store, _ = updates[-1]
     assert model.num_classes == 6  # class 4 has its head row
     assert store.class_ids == (0, 1, 2, 3, 5)  # but no exemplar
+
+
+def test_run_scenario_reads_every_row_of_a_csv_with_quoted_labels(tmp_path, monkeypatch):
+    from inkrementa import harness
+
+    rows = '"0",0.0,1.0\n"1",1.0,0.0\n"0",0.5,1.5\n"1",1.5,0.5\n'
+    (tmp_path / "train.csv").write_text(rows)
+    (tmp_path / "test.csv").write_text(rows)
+    doc = {
+        "seed": 8,
+        "data": {"csv": {"train": str(tmp_path / "train.csv"), "test": str(tmp_path / "test.csv")}},
+        "stages": [[0, 1]],
+        "model": {"hidden_dims": [4], "epochs_per_stage": 1},
+    }
+    trained_rows = []
+
+    def recording_train(model, features, *args, **kwargs):
+        trained_rows.append(features.shape[0])
+        return real_train(model, features, *args, **kwargs)
+
+    real_train = harness.train_epochs
+    monkeypatch.setattr(harness, "train_epochs", recording_train)
+    run_scenario(parse_config(doc))
+    assert trained_rows == [4]
 
 
 # -- run_ablation -----------------------------------------------------------------------
