@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import SyntheticSpec, generate_synthetic, save_csv
+from .data import SyntheticSpec, generate_synthetic, read_utf8, save_csv
 from .errors import ConfigError, MappingError, ParseError, PlanError
 from .harness import (
     ABLATION_PRESETS,
@@ -68,7 +68,7 @@ def _cmd_gen_data(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     if not isinstance(config.data, SyntheticSpec):
         raise ConfigError("gen-data needs a synthetic data section")
-    train, test = generate_synthetic(config.data)
+    train, test = generate_synthetic(config.data, config.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_csv(train, out / "train.csv")
@@ -131,7 +131,7 @@ def _check_stage_entry(entry, path, where: str, extra_keys: tuple[str, ...] = ()
 def _read_run_report(path) -> dict:
     """A run report's JSON, checked for every field the summary CSV reads."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_utf8(path, ParseError))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}", line=exc.lineno) from exc
     if not isinstance(doc, dict):

@@ -34,10 +34,6 @@ class ExemplarStore:
 
     per_class: dict[int, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def class_ids(self) -> tuple[int, ...]:
-        return tuple(self.per_class)
-
     def copy(self) -> "ExemplarStore":
         return ExemplarStore({c: rows.copy() for c, rows in self.per_class.items()})
 

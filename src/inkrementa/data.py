@@ -9,6 +9,8 @@ than the data. CSV is the sole external format ("label,f1,...,fD").
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,7 +97,6 @@ class SyntheticSpec:
     test_per_class: int
     center_scale: float = 10.0
     stddev: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_classes < 1 or self.input_dim < 1:
@@ -108,14 +109,14 @@ class SyntheticSpec:
             raise ConfigError(f"center_scale must be >= 0, got {self.center_scale}")
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[LabeledDataset, LabeledDataset]:
+def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """Draw disjoint train/test pools; class c ~ Gaussian(center_c, stddev^2 I).
 
-    Centers are drawn once from Gaussian(0, center_scale^2 I) using the spec
-    seed, then per class the train block is drawn before the test block, so
-    the whole corpus is a pure function of the spec.
+    Centers are drawn once from Gaussian(0, center_scale^2 I) using ``seed``,
+    then per class the train block is drawn before the test block, so the
+    whole corpus is a pure function of the spec and the seed.
     """
-    rng = numkit.make_rng(spec.seed)
+    rng = numkit.make_rng(seed)
     centers = rng.normal(0.0, spec.center_scale, size=(spec.num_classes, spec.input_dim))
 
     train_x, train_y, test_x, test_y = [], [], [], []
@@ -131,44 +132,58 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[LabeledDataset, LabeledData
     return train, test
 
 
+def read_utf8(path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file; any other bytes raise ``error`` naming the file and line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line} is not valid UTF-8") from None
+
+
+def _feature(cell: str) -> float:
+    """``float(cell)``, refusing what the CSV format does not allow: ``_``, nan and inf."""
+    value = float(cell)
+    if "_" in cell or not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
 def load_csv(path) -> LabeledDataset:
     """Parse "label,f1,...,fD" rows; ragged or non-numeric rows are rejected.
 
     The header is optional: line 1 is a header iff its label cell is not an
-    integer. Error messages cite 1-based line numbers (a header is line 1).
+    integer. Every other cell is a finite number written without ``_``. Error
+    messages cite 1-based line numbers (a header is line 1).
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-
     features: list[list[float]] = []
     labels: list[int] = []
     dim: int | None = None
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
+    reader = csv.reader(io.StringIO(read_utf8(path, ParseError), newline=""))
+    for lineno, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and row[0].strip() == ""):
+            continue
+        try:
+            label = int(row[0])
+        except ValueError:
+            if lineno == 1:  # a header names its columns
                 continue
-            try:
-                label = int(row[0])
-            except ValueError:
-                if lineno == 1:  # a header names its columns
-                    continue
-                raise ParseError(f"label {row[0]!r} is not an integer", lineno) from None
-            if len(row) < 2:
-                raise ParseError(f"expected 'label,f1,...' but found {len(row)} field(s)", lineno)
-            if label < 0:
-                raise ParseError(f"label must be non-negative, got {label}", lineno)
-            try:
-                values = [float(cell) for cell in row[1:]]
-            except ValueError:
-                raise ParseError(f"non-numeric feature cell in {row[1:]!r}", lineno) from None
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ParseError(f"row has {len(values)} features, expected {dim}", lineno)
-            labels.append(label)
-            features.append(values)
+            raise ParseError(f"label {row[0]!r} is not an integer", lineno) from None
+        if len(row) < 2:
+            raise ParseError(f"expected 'label,f1,...' but found {len(row)} field(s)", lineno)
+        if label < 0 or "_" in row[0]:
+            raise ParseError(f"label must be a non-negative integer, got {row[0]!r}", lineno)
+        try:
+            values = [_feature(cell) for cell in row[1:]]
+        except ValueError:
+            raise ParseError(f"feature cells must be finite numbers, got {row[1:]!r}", lineno) from None
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise ParseError(f"row has {len(values)} features, expected {dim}", lineno)
+        labels.append(label)
+        features.append(values)
 
     if not features:
         raise ParseError(f"{path} contains no data rows")
@@ -194,7 +209,7 @@ def split_stages(
 
     Remapped ids are contiguous 0..N-1 in stage-visit order (within a group,
     the plan's listed order). The plan must cover the dataset's class ids
-    exactly.
+    exactly, and every stage needs at least one train row and one test row.
     """
     plan_classes = plan.all_classes()
     universe = set(train.class_ids) | set(test.class_ids)
@@ -207,10 +222,11 @@ def split_stages(
 
     remap = {orig: new for new, orig in enumerate(plan_classes)}
     stages = []
-    for group in plan.groups:
-        stage_train = train.restrict(group).remap_labels(remap)
-        stage_test = test.restrict(group).remap_labels(remap)
-        stages.append((stage_train, stage_test))
+    for i, group in enumerate(plan.groups):
+        stages.append((train.restrict(group).remap_labels(remap), test.restrict(group).remap_labels(remap)))
+        for pool, dataset in zip(("train", "test"), stages[-1]):
+            if dataset.n_samples == 0:
+                raise PlanError(f"stage {i} (classes {list(group)}) has no {pool} rows")
     return stages, remap
 
 

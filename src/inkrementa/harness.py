@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -32,6 +31,7 @@ from .data import (
     apply_standardization,
     generate_synthetic,
     load_csv,
+    read_utf8,
     split_stages,
     standardization_stats,
 )
@@ -56,7 +56,7 @@ class CsvSource:
 class ScenarioConfig:
     """Fully validated scenario: seed, data source, plan, model, ccs settings.
 
-    A synthetic corpus is always drawn with the scenario seed.
+    A synthetic corpus is drawn with the scenario seed.
     """
 
     seed: int
@@ -68,8 +68,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if isinstance(self.data, SyntheticSpec):
-            object.__setattr__(self, "data", replace(self.data, seed=self.seed))
 
     def echo(self) -> dict:
         """The resolved config as a plain dict, mirroring the file schema."""
@@ -111,11 +109,8 @@ _KINDS = {
 
 
 def _file_fields(cls) -> dict:
-    """File key -> dataclass field of one config section.
-
-    A section's ``seed`` is no file key: it is the scenario seed.
-    """
-    return {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name != "seed"}
+    """File key -> dataclass field of one config section."""
+    return {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
 
 
 def _require_keys(section: dict, allowed: dict, where: str) -> dict:
@@ -180,7 +175,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
 
 def load_config(path, seed_override: int | None = None) -> ScenarioConfig:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(read_utf8(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(raw, seed_override=seed_override)
@@ -207,9 +202,6 @@ def evaluate(
     total = 0
     per_group = []
     for _, dataset in test_sets:
-        if dataset.n_samples == 0:
-            per_group.append(0.0)
-            continue
         if int(dataset.labels.max()) >= model.num_classes:
             raise MappingError(
                 f"test labels reach {int(dataset.labels.max())} but model has only "
@@ -297,6 +289,11 @@ class RunReport:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
 
+def _fixed(value) -> str:
+    """The one rendering of a float in reports and CSVs: 6 decimal places."""
+    return format(float(value), ".6f")
+
+
 def canonical_json(value, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 6 decimal places."""
     pad = "  " * indent
@@ -316,7 +313,7 @@ def canonical_json(value, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".6f")
+        return _fixed(value)
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -327,7 +324,7 @@ def canonical_json(value, indent: int = 0) -> str:
 
 def _load_pools(config: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
     if isinstance(config.data, SyntheticSpec):
-        return generate_synthetic(config.data)
+        return generate_synthetic(config.data, config.seed)
     return load_csv(config.data.train), load_csv(config.data.test)
 
 
@@ -463,42 +460,28 @@ ABLATION_PRESETS: dict[str, list[tuple[str, dict]]] = {
 def run_ablation(
     config: ScenarioConfig,
     matrix: list[tuple[str, dict]],
-    seeds: int = 3,
+    seeds: int,
 ) -> tuple[list[RunReport], list[dict]]:
     """One run per (variant, seed); returns all reports plus a comparison table.
 
-    Each matrix entry is (label, ccs-field overrides). Variants that resolve
-    to identical settings are deduplicated with a warning. Seeds are the base
-    seed, +1, ..., +seeds-1. Stage 0 is run once per (seed, k) and shared by
-    every variant with that seed and k; each report is the one a standalone
-    ``run_scenario`` of the variant would give.
+    Each matrix entry is (label, ccs-field overrides), run as given. Seeds are
+    the base seed, +1, ..., +seeds-1. Stage 0 is run once per (seed, k) and
+    shared by every variant with that seed and k; each report is the one a
+    standalone ``run_scenario`` of the variant would give.
     """
     if not matrix:
         raise ValueError("ablation matrix is empty")
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
 
-    variants: list[tuple[str, CcsSettings]] = []
-    seen_settings: dict[CcsSettings, str] = {}
-    for label, overrides in matrix:
-        settings = replace(config.ccs, **overrides)
-        if settings in seen_settings:
-            warnings.warn(
-                f"ablation variant {label!r} duplicates {seen_settings[settings]!r}; skipped",
-                stacklevel=2,
-            )
-            continue
-        seen_settings[settings] = label
-        variants.append((label, settings))
-
     bases: dict[tuple, BaseStage] = {}
     reports: list[RunReport] = []
     table: list[dict] = []
-    for label, settings in variants:
+    for label, overrides in matrix:
         finals_acc, finals_accn = [], []
         for offset in range(seeds):
             seed = config.seed + offset
-            run_config = replace(config, seed=seed, ccs=settings)
+            run_config = replace(config, seed=seed, ccs=replace(config.ccs, **overrides))
             key = _base_key(run_config)
             if key not in bases:
                 bases[key] = run_base_stage(run_config)
@@ -522,51 +505,29 @@ def run_ablation(
 # -- flat CSV output ---------------------------------------------------------
 
 
+def _write_csv(path, header: list[str], rows: list[list]) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_summary_csv(reports: list[RunReport | dict], path) -> None:
     """One row per (run, stage), plus a final row per run.
 
     Takes run reports or their dict form, as read back from report JSON.
     """
     docs = [r.to_dict() if isinstance(r, RunReport) else r for r in reports]
-    rows = [(doc, stage) for doc in docs for stage in doc["stages"]]
-    rows += [(doc, {**doc["final"], "stage": "final"}) for doc in docs]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", "seed", "stage", "N", "accuracy", "accn"])
-        for doc, stage in rows:
-            writer.writerow(
-                [
-                    doc["run_id"],
-                    doc["seed"],
-                    stage["stage"],
-                    stage["n_classes"],
-                    format(float(stage["accuracy"]), ".6f"),
-                    format(float(stage["accn"]), ".6f"),
-                ]
-            )
+    stages = [(doc, stage) for doc in docs for stage in doc["stages"]]
+    stages += [(doc, {**doc["final"], "stage": "final"}) for doc in docs]
+    rows = [
+        [doc["run_id"], doc["seed"], s["stage"], s["n_classes"], _fixed(s["accuracy"]), _fixed(s["accn"])]
+        for doc, s in stages
+    ]
+    _write_csv(path, ["run_id", "seed", "stage", "N", "accuracy", "accn"], rows)
 
 
 def write_comparison_csv(table: list[dict], path) -> None:
-    """Ablation comparison table; the method column admits external baselines."""
-    columns = [
-        "method",
-        "seeds",
-        "final_accuracy_mean",
-        "final_accuracy_std",
-        "final_accn_mean",
-        "final_accn_std",
-    ]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in table:
-            writer.writerow(
-                [
-                    row["method"],
-                    row["seeds"],
-                    format(row["final_accuracy_mean"], ".6f"),
-                    format(row["final_accuracy_std"], ".6f"),
-                    format(row["final_accn_mean"], ".6f"),
-                    format(row["final_accn_std"], ".6f"),
-                ]
-            )
+    """Ablation comparison table, one column per key of ``run_ablation``'s rows."""
+    rows = [[_fixed(v) if isinstance(v, float) else v for v in row.values()] for row in table]
+    _write_csv(path, list(table[0]), rows)

@@ -113,6 +113,40 @@ def test_malformed_csv_data_exits_3(tmp_path):
     assert cli.main(["run", "--config", str(config)]) == 3
 
 
+@pytest.mark.parametrize("pool,stage", [("train", 0), ("train", 1), ("test", 0), ("test", 1)])
+def test_stage_without_train_or_test_rows_exits_2(tmp_path, capsys, pool, stage):
+    groups = [[0, 1], [2, 3]]
+    pools = {
+        name: "".join(
+            f"{c},{c}.0,{r}.0\n" for c in range(4) for r in range(3) if name != pool or c not in groups[stage]
+        )
+        for name in ("train", "test")
+    }
+    for name, text in pools.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    config = write_config(
+        tmp_path,
+        data={"csv": {"train": str(tmp_path / "train.csv"), "test": str(tmp_path / "test.csv")}},
+        stages=groups,
+    )
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    assert f"config error: stage {stage} (classes {groups[stage]}) has no {pool} rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader,code", [("config", 2), ("csv", 3), ("report", 3)])
+def test_input_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys, reader, code):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"0,1.0\n\xff,2.0\n")
+    csv_config = write_config(tmp_path, data={"csv": {"train": str(bad), "test": str(bad)}}, stages=[[0]])
+    argv = {
+        "config": ["run", "--config", str(bad), "--out", str(tmp_path)],
+        "csv": ["run", "--config", str(csv_config), "--out", str(tmp_path)],
+        "report": ["report", str(bad), "--out", str(tmp_path / "m.csv")],
+    }[reader]
+    assert cli.main(argv) == code
+    assert f"{bad}: line 2 is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_4(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path)
 

@@ -188,7 +188,7 @@ def test_build_store_k1_adds_one_entry_per_class():
     model = embed_model()
     ds = class_dataset(10, 6)
     store = build_exemplar_store(model, ds, k=1)
-    assert store.class_ids == tuple(range(10))
+    assert tuple(store.per_class) == tuple(range(10))
     assert store.flatten()[0].shape[0] == 10
 
 
@@ -205,7 +205,7 @@ def test_build_store_empty_dataset_returns_store_unchanged():
     existing = build_exemplar_store(model, class_dataset(3, 5), k=1)
     empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
     out = build_exemplar_store(model, empty, k=1, existing=existing)
-    assert out.class_ids == existing.class_ids
+    assert tuple(out.per_class) == tuple(existing.per_class)
     for c in existing.per_class:
         npt.assert_array_equal(out.per_class[c], existing.per_class[c])
 
@@ -217,8 +217,8 @@ def test_build_store_rejects_overlap_and_never_mutates_existing():
     with pytest.raises(ConflictError):
         build_exemplar_store(model, class_dataset(2, 5, seed=3), k=1, existing=existing)
     extended = build_exemplar_store(model, class_dataset(2, 5, seed=3, first_id=3), k=1, existing=existing)
-    assert extended.class_ids == (0, 1, 2, 3, 4)
-    assert existing.class_ids == (0, 1, 2)
+    assert tuple(extended.per_class) == (0, 1, 2, 3, 4)
+    assert tuple(existing.per_class) == (0, 1, 2)
     for c, rows in frozen.items():
         npt.assert_array_equal(existing.per_class[c], rows)
 
@@ -326,12 +326,12 @@ def test_stage_update_grows_model_and_store():
     ctx = CcsSettings(k=1)
     model, new_store, losses = ccs_stage_update(prev, new_data, store, ctx, numkit.make_rng(4))
     assert model.num_classes == 5
-    assert new_store.class_ids == (0, 1, 2, 3, 4)
+    assert tuple(new_store.per_class) == (0, 1, 2, 3, 4)
     assert new_store.flatten()[0].shape[0] == 5
     assert len(losses) == cfg.epochs_per_stage
     # inputs untouched
     assert prev.num_classes == 3
-    assert store.class_ids == (0, 1, 2)
+    assert tuple(store.per_class) == (0, 1, 2)
 
 
 def test_stage_update_old_store_rows_are_frozen():

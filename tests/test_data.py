@@ -95,23 +95,22 @@ def test_synthetic_spec_validation():
 
 
 def test_synthetic_same_seed_is_identical():
-    spec = SyntheticSpec(num_classes=4, input_dim=3, train_per_class=10, test_per_class=5, seed=17)
-    a_train, a_test = generate_synthetic(spec)
-    b_train, b_test = generate_synthetic(spec)
+    spec = SyntheticSpec(num_classes=4, input_dim=3, train_per_class=10, test_per_class=5)
+    a_train, a_test = generate_synthetic(spec, 17)
+    b_train, b_test = generate_synthetic(spec, 17)
     npt.assert_array_equal(a_train.features, b_train.features)
     npt.assert_array_equal(a_test.features, b_test.features)
     npt.assert_array_equal(a_train.labels, b_train.labels)
 
 
 def test_synthetic_different_seed_differs():
-    spec = SyntheticSpec(num_classes=4, input_dim=3, train_per_class=10, test_per_class=5, seed=17)
-    other = SyntheticSpec(num_classes=4, input_dim=3, train_per_class=10, test_per_class=5, seed=18)
-    assert not np.array_equal(generate_synthetic(spec)[0].features, generate_synthetic(other)[0].features)
+    spec = SyntheticSpec(num_classes=4, input_dim=3, train_per_class=10, test_per_class=5)
+    assert not np.array_equal(generate_synthetic(spec, 17)[0].features, generate_synthetic(spec, 18)[0].features)
 
 
 def test_synthetic_counts_and_shapes():
-    spec = SyntheticSpec(num_classes=6, input_dim=5, train_per_class=8, test_per_class=3, seed=0)
-    train, test = generate_synthetic(spec)
+    spec = SyntheticSpec(num_classes=6, input_dim=5, train_per_class=8, test_per_class=3)
+    train, test = generate_synthetic(spec, 0)
     assert train.features.shape == (48, 5) and test.features.shape == (18, 5)
     for c in range(6):
         assert train.class_rows(c).shape[0] == 8
@@ -121,8 +120,8 @@ def test_synthetic_counts_and_shapes():
 def test_synthetic_tiny_stddev_collapses_to_centers():
     # the stddev -> 0 limit: every sample of class c sits on center_c
     spec = SyntheticSpec(num_classes=3, input_dim=4, train_per_class=6, test_per_class=2,
-                         center_scale=5.0, stddev=1e-12, seed=2)
-    train, test = generate_synthetic(spec)
+                         center_scale=5.0, stddev=1e-12)
+    train, test = generate_synthetic(spec, 2)
     for ds in (train, test):
         for c in range(3):
             rows = ds.class_rows(c)
@@ -134,8 +133,8 @@ def test_synthetic_separable_corpus_trains_to_90_percent():
     # sanity oracle: scale/stddev ratio 10 in 8-D with 50 classes is easily
     # separable, so a jointly trained classifier must clear 90% test accuracy
     spec = SyntheticSpec(num_classes=50, input_dim=8, train_per_class=40, test_per_class=10,
-                         center_scale=10.0, stddev=1.0, seed=5)
-    train, test = generate_synthetic(spec)
+                         center_scale=10.0, stddev=1.0)
+    train, test = generate_synthetic(spec, 5)
     stats = standardization_stats(train)
     train = apply_standardization(train, stats)
     test = apply_standardization(test, stats)
@@ -180,6 +179,17 @@ def test_load_csv_non_numeric_cell(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("line", [1, 2])
+@pytest.mark.parametrize("row", ["1,nan", "1,inf", "1,-Infinity", "1,1_0.5", "1_0,1.0"])
+def test_load_csv_rejects_non_finite_cells_and_digit_separators(tmp_path, row, line):
+    rows = ["0,1.0", "0,2.0"]
+    rows[line - 1] = row
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match=f"line {line}"):
+        load_csv(path)
+
+
 def test_load_csv_negative_label(tmp_path):
     path = tmp_path / "neg.csv"
     path.write_text("-1,1.0\n")
@@ -206,8 +216,8 @@ def test_load_csv_skips_blank_lines(tmp_path):
 
 
 def test_csv_round_trip_is_lossless(tmp_path):
-    spec = SyntheticSpec(num_classes=3, input_dim=4, train_per_class=5, test_per_class=2, seed=3)
-    train, _ = generate_synthetic(spec)
+    spec = SyntheticSpec(num_classes=3, input_dim=4, train_per_class=5, test_per_class=2)
+    train, _ = generate_synthetic(spec, 3)
     path = tmp_path / "round.csv"
     save_csv(train, path)
     back = load_csv(path)
@@ -219,8 +229,8 @@ def test_csv_round_trip_is_lossless(tmp_path):
 
 
 def five_stage_corpus(seed=7):
-    spec = SyntheticSpec(num_classes=55, input_dim=3, train_per_class=4, test_per_class=2, seed=seed)
-    return generate_synthetic(spec)
+    spec = SyntheticSpec(num_classes=55, input_dim=3, train_per_class=4, test_per_class=2)
+    return generate_synthetic(spec, seed)
 
 
 def test_split_55_classes_into_five_stages():

@@ -361,8 +361,8 @@ def test_run_scenario_report_document_shape(tmp_path):
 def test_run_scenario_csv_round_trip(tmp_path):
     from inkrementa.data import generate_synthetic, save_csv
 
-    spec = SyntheticSpec(num_classes=6, input_dim=3, train_per_class=15, test_per_class=4, seed=8)
-    train, test = generate_synthetic(spec)
+    spec = SyntheticSpec(num_classes=6, input_dim=3, train_per_class=15, test_per_class=4)
+    train, test = generate_synthetic(spec, 8)
     save_csv(train, tmp_path / "train.csv")
     save_csv(test, tmp_path / "test.csv")
     headerless = (tmp_path / "test.csv").read_text().split("\n", 1)[1]
@@ -381,8 +381,8 @@ def test_run_scenario_class_with_test_rows_but_no_train_rows(tmp_path, monkeypat
     from inkrementa import harness
     from inkrementa.data import generate_synthetic, save_csv
 
-    spec = SyntheticSpec(num_classes=6, input_dim=3, train_per_class=15, test_per_class=4, seed=8)
-    train, test = generate_synthetic(spec)
+    spec = SyntheticSpec(num_classes=6, input_dim=3, train_per_class=15, test_per_class=4)
+    train, test = generate_synthetic(spec, 8)
     save_csv(train.restrict([0, 1, 2, 3, 5]), tmp_path / "train.csv")  # class 4: test rows only
     save_csv(test, tmp_path / "test.csv")
     doc = {
@@ -403,7 +403,7 @@ def test_run_scenario_class_with_test_rows_but_no_train_rows(tmp_path, monkeypat
     assert [r.n_classes for r in report.stage_reports] == [3, 6]
     model, store, _ = updates[-1]
     assert model.num_classes == 6  # class 4 has its head row
-    assert store.class_ids == (0, 1, 2, 3, 5)  # but no exemplar
+    assert tuple(store.per_class) == (0, 1, 2, 3, 5)  # but no exemplar
 
 
 def test_run_scenario_reads_every_row_of_a_csv_with_quoted_labels(tmp_path, monkeypatch):
@@ -435,16 +435,7 @@ def test_run_scenario_reads_every_row_of_a_csv_with_quoted_labels(tmp_path, monk
 
 def test_run_ablation_rejects_empty_matrix():
     with pytest.raises(ValueError):
-        run_ablation(parse_config(config_doc()), [])
-
-
-def test_run_ablation_deduplicates_with_warning():
-    cfg = parse_config(config_doc())
-    matrix = [("a", {"use_distillation": False}), ("b", {"use_distillation": False})]
-    with pytest.warns(UserWarning, match="duplicates"):
-        reports, table = run_ablation(cfg, matrix, seeds=1)
-    assert len(reports) == 1 and len(table) == 1
-    assert table[0]["method"] == "a"
+        run_ablation(parse_config(config_doc()), [], seeds=1)
 
 
 def test_run_ablation_rows_and_run_ids():
@@ -548,3 +539,40 @@ def test_summary_and_comparison_csv_structure(tmp_path):
     clines = comparison.read_text().strip().splitlines()
     assert clines[0] == "method,seeds,final_accuracy_mean,final_accuracy_std,final_accn_mean,final_accn_std"
     assert len(clines) == 2 and clines[1].startswith("full,2,")
+
+
+def test_csv_writers_pin_their_bytes_for_hand_written_inputs(tmp_path):
+    from inkrementa import cli
+
+    doc = {
+        "run_id": "E,KD-seed3",
+        "seed": 3,
+        "stages": [
+            {"stage": 0, "n_classes": 2, "accuracy": 1, "accn": 2},
+            {"stage": 1, "n_classes": 4, "accuracy": 0.8125, "accn": 3.25},
+        ],
+        "final": {"stage": 1, "n_classes": 4, "accuracy": 0.8125, "accn": 3.25},
+    }
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    summary = tmp_path / "summary.csv"
+    assert cli.main(["report", str(tmp_path / "run.json"), "--out", str(summary)]) == 0
+    assert summary.read_bytes() == (
+        b"run_id,seed,stage,N,accuracy,accn\r\n"
+        b'"E,KD-seed3",3,0,2,1.000000,2.000000\r\n'
+        b'"E,KD-seed3",3,1,4,0.812500,3.250000\r\n'
+        b'"E,KD-seed3",3,final,4,0.812500,3.250000\r\n'
+    )
+
+    table = [
+        {"method": "E,KD", "seeds": 2, "final_accuracy_mean": 0.5, "final_accuracy_std": 0.0625,
+         "final_accn_mean": 27.5, "final_accn_std": 1 / 3},
+        {"method": "baseline", "seeds": 2, "final_accuracy_mean": 0.1, "final_accuracy_std": 0.0,
+         "final_accn_mean": 5.5, "final_accn_std": 2.25},
+    ]
+    comparison = tmp_path / "comparison.csv"
+    write_comparison_csv(table, comparison)
+    assert comparison.read_bytes() == (
+        b"method,seeds,final_accuracy_mean,final_accuracy_std,final_accn_mean,final_accn_std\r\n"
+        b'"E,KD",2,0.500000,0.062500,27.500000,0.333333\r\n'
+        b"baseline,2,0.100000,0.000000,5.500000,2.250000\r\n"
+    )
