@@ -6,14 +6,14 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .data import SyntheticSpec, generate_synthetic, read_utf8, save_csv
+from .data import SyntheticSpec, generate_synthetic, read_json, save_csv
 from .errors import ConfigError, MappingError, ParseError, PlanError
 from .harness import (
     ABLATION_PRESETS,
+    STAGE_METRICS,
     load_config,
     run_ablation,
     run_scenario,
@@ -35,19 +35,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-data", help="emit synthetic train/test CSVs from a config")
-    gen.add_argument("--config", required=True, help="scenario config JSON")
-    gen.add_argument("--seed", type=int, default=None, help="override the config seed")
-    gen.add_argument("--out", default=".", help="output directory")
+    # the flags of every subcommand that reads a scenario config
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", required=True, help="scenario config JSON")
+    scenario.add_argument("--seed", type=int, default=None, help="override the config seed")
+    scenario.add_argument("--out", default=".", help="output directory")
 
-    run = sub.add_parser("run", help="execute one scenario and write its report JSON")
-    run.add_argument("--config", required=True, help="scenario config JSON")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--out", default=".", help="output directory")
-
-    ablate = sub.add_parser("ablate", help="run a component/loss/norm ablation matrix")
-    ablate.add_argument("--config", required=True, help="scenario config JSON")
-    ablate.add_argument("--seed", type=int, default=None, help="override the base seed")
+    sub.add_parser("gen-data", parents=[scenario], help="emit synthetic train/test CSVs from a config")
+    sub.add_parser("run", parents=[scenario], help="execute one scenario and write its report JSON")
+    ablate = sub.add_parser("ablate", parents=[scenario], help="run a component/loss/norm ablation matrix")
     ablate.add_argument(
         "--preset",
         default="components",
@@ -55,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which variant matrix to run",
     )
     ablate.add_argument("--seeds", type=int, default=3, help="seeds per variant")
-    ablate.add_argument("--out", default=".", help="output directory")
 
     report = sub.add_parser("report", help="merge run report JSONs into a summary CSV")
     report.add_argument("inputs", nargs="+", help="run report JSON files")
@@ -114,26 +109,20 @@ def _cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-_STAGE_METRICS = ("n_classes", "accuracy", "accn")
-
-
 def _check_stage_entry(entry, path, where: str, extra_keys: tuple[str, ...] = ()) -> None:
     if not isinstance(entry, dict):
         raise ParseError(f"{path}: {where} is not a JSON object; not a run report")
-    missing = [key for key in (*extra_keys, *_STAGE_METRICS) if key not in entry]
+    missing = [key for key in (*extra_keys, *STAGE_METRICS) if key not in entry]
     if missing:
         raise ParseError(f"{path}: {where} is missing {missing}; not a run report")
-    for key in _STAGE_METRICS:
+    for key in STAGE_METRICS:
         if not isinstance(entry[key], (int, float)) or isinstance(entry[key], bool):
             raise ParseError(f"{path}: {where}.{key} is not a number; not a run report")
 
 
 def _read_run_report(path) -> dict:
     """A run report's JSON, checked for every field the summary CSV reads."""
-    try:
-        doc = json.loads(read_utf8(path, ParseError))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}", line=exc.lineno) from exc
+    doc = read_json(path, ParseError)
     if not isinstance(doc, dict):
         raise ParseError(f"{path} is not a JSON object; not a run report")
     for key in ("run_id", "seed", "stages", "final"):

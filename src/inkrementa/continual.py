@@ -10,7 +10,7 @@ the new head rows so their mean norm matches the old rows' mean norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,30 +22,6 @@ from .model import DISTILL_LOSSES, IncModel, train_epochs
 WA_NORMS = ("l1", "l2")
 
 ALPHA_BASE = 0.1  # mixing schedule: alpha = 0.1 * u / (u + v)
-
-
-@dataclass
-class ExemplarStore:
-    """Per-class retained samples, keyed by (remapped) class id.
-
-    Classes are only ever added; each holds min(k, available) rows, where k
-    is the one passed to ``build_exemplar_store``.
-    """
-
-    per_class: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def copy(self) -> "ExemplarStore":
-        return ExemplarStore({c: rows.copy() for c, rows in self.per_class.items()})
-
-    def flatten(self) -> tuple[np.ndarray, np.ndarray]:
-        """All retained rows and their labels, in class-insertion order."""
-        if not self.per_class:
-            raise EmptyInputError("exemplar store is empty")
-        feats = np.vstack([rows for rows in self.per_class.values()])
-        labels = np.concatenate(
-            [np.full(rows.shape[0], c, dtype=np.int64) for c, rows in self.per_class.items()]
-        )
-        return feats, labels
 
 
 @dataclass(frozen=True)
@@ -111,23 +87,25 @@ def build_exemplar_store(
     model: IncModel,
     dataset: LabeledDataset,
     k: int,
-    existing: ExemplarStore | None = None,
-) -> ExemplarStore:
+    existing: dict[int, np.ndarray] | None = None,
+) -> dict[int, np.ndarray]:
     """Herding-select k exemplars per new class; prior classes stay frozen.
 
-    Returns a new store; ``existing`` is never mutated and its rows are never
-    re-selected under the new model.
+    A store maps each (remapped) class id, in insertion order, to its
+    min(k, available) rows, read-only once selected. Returns a new store;
+    ``existing`` is never mutated and its rows are never re-selected.
     """
-    store = existing.copy() if existing is not None else ExemplarStore()
-    overlap = set(dataset.class_ids) & set(store.per_class)
+    store = dict(existing or {})
+    overlap = set(dataset.class_ids) & set(store)
     if overlap:
         raise ConflictError(f"classes {sorted(overlap)} already have exemplars")
     for c in dataset.class_ids:
         rows = dataset.class_rows(c)
         if rows.shape[0] == 0:
             continue
-        chosen = herding_select(model, rows, k)
-        store.per_class[c] = rows[chosen].copy()
+        chosen = rows[herding_select(model, rows, k)]
+        chosen.setflags(write=False)
+        store[c] = chosen
     return store
 
 
@@ -162,10 +140,10 @@ def weight_align(head: np.ndarray, u: int, v: int, norm: str = "l2") -> np.ndarr
 def ccs_stage_update(
     prev: IncModel,
     new_data: LabeledDataset,
-    store: ExemplarStore,
+    store: dict[int, np.ndarray],
     settings: CcsSettings,
     rng: np.random.Generator,
-) -> tuple[IncModel, ExemplarStore, list[float]]:
+) -> tuple[IncModel, dict[int, np.ndarray], list[float]]:
     """One incremental stage: expand, train with replay + distillation, align.
 
     The u old classes are the previous model's; the v new ones are
@@ -183,7 +161,7 @@ def ccs_stage_update(
         raise ValueError("new_data is empty")
     u, v = prev.num_classes, len(new_data.class_ids)
     new_ids = set(new_data.class_ids)
-    seen = set(range(u)) | set(store.per_class)
+    seen = set(range(u)) | set(store)
     overlap = new_ids & seen
     if overlap:
         raise ConflictError(f"new class ids {sorted(overlap)} were already seen")
@@ -200,10 +178,11 @@ def ccs_stage_update(
     alpha = settings.mixing_alpha(u, v) if settings.use_distillation else 0.0
     teacher = prev.snapshot() if (settings.use_distillation and alpha > 0) else None
 
-    if settings.use_exemplars and store.per_class:
-        ex_feats, ex_labels = store.flatten()
-        features = np.vstack([new_data.features, ex_feats])
-        labels = np.concatenate([new_data.labels, ex_labels])
+    if settings.use_exemplars and store:
+        # the pool: new rows, then every class's exemplars in insertion order
+        features = np.vstack([new_data.features, *store.values()])
+        ex_labels = [np.full(len(rows), c, dtype=np.int64) for c, rows in store.items()]
+        labels = np.concatenate([new_data.labels, *ex_labels])
     else:
         features = new_data.features
         labels = new_data.labels

@@ -8,8 +8,10 @@ than the data. CSV is the sole external format ("label,f1,...,fD").
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,13 +135,27 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[LabeledDataset, 
 
 
 def read_utf8(path, error: type[Exception]) -> str:
-    """The text of a UTF-8 file; any other bytes raise ``error`` naming the file and line."""
-    raw = Path(path).read_bytes()
+    """A UTF-8 file's text minus one leading BOM; other bytes raise ``error`` naming the file and line."""
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line} is not valid UTF-8") from None
+
+
+def read_json(path, error: type[Exception]):
+    """A UTF-8 file's JSON; invalid JSON and non-finite numbers raise ``error`` naming the file."""
+
+    def finite(token: str) -> float:
+        if not math.isfinite(value := float(token)):
+            raise error(f"{path}: {token} is not a finite number")
+        return value
+
+    try:
+        return json.loads(read_utf8(path, error), parse_float=finite, parse_constant=finite)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _feature(cell: str) -> float:
@@ -154,8 +170,8 @@ def load_csv(path) -> LabeledDataset:
     """Parse "label,f1,...,fD" rows; ragged or non-numeric rows are rejected.
 
     The header is optional: line 1 is a header iff its label cell is not an
-    integer. Every other cell is a finite number written without ``_``. Error
-    messages cite 1-based line numbers (a header is line 1).
+    integer. Labels fit in int64; every other cell is a finite number written
+    without ``_``. Error messages cite 1-based line numbers (a header is line 1).
     """
     features: list[list[float]] = []
     labels: list[int] = []
@@ -172,8 +188,8 @@ def load_csv(path) -> LabeledDataset:
             raise ParseError(f"label {row[0]!r} is not an integer", lineno) from None
         if len(row) < 2:
             raise ParseError(f"expected 'label,f1,...' but found {len(row)} field(s)", lineno)
-        if label < 0 or "_" in row[0]:
-            raise ParseError(f"label must be a non-negative integer, got {row[0]!r}", lineno)
+        if not 0 <= label < 2**63 or "_" in row[0]:
+            raise ParseError(f"label must be a non-negative 64-bit integer, got {row[0]!r}", lineno)
         try:
             values = [_feature(cell) for cell in row[1:]]
         except ValueError:
@@ -204,11 +220,11 @@ def split_stages(
     train: LabeledDataset,
     test: LabeledDataset,
     plan: StagePlan,
-) -> tuple[list[tuple[LabeledDataset, LabeledDataset]], dict[int, int]]:
-    """Per-stage (train, test) datasets plus the label remapping table.
+) -> list[tuple[LabeledDataset, LabeledDataset]]:
+    """Per-stage (train, test) datasets; class ``plan.all_classes()[i]`` gets label i.
 
-    Remapped ids are contiguous 0..N-1 in stage-visit order (within a group,
-    the plan's listed order). The plan must cover the dataset's class ids
+    Remapped ids are thus contiguous 0..N-1 in stage-visit order (within a
+    group, the plan's listed order). The plan must cover the dataset's class ids
     exactly, and every stage needs at least one train row and one test row.
     """
     plan_classes = plan.all_classes()
@@ -227,7 +243,7 @@ def split_stages(
         for pool, dataset in zip(("train", "test"), stages[-1]):
             if dataset.n_samples == 0:
                 raise PlanError(f"stage {i} (classes {list(group)}) has no {pool} rows")
-    return stages, remap
+    return stages
 
 
 def standardization_stats(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:

@@ -17,13 +17,13 @@ import csv
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, numkit
-from .continual import CcsSettings, ExemplarStore, build_exemplar_store, ccs_stage_update
+from .continual import CcsSettings, build_exemplar_store, ccs_stage_update
 from .data import (
     LabeledDataset,
     StagePlan,
@@ -31,7 +31,7 @@ from .data import (
     apply_standardization,
     generate_synthetic,
     load_csv,
-    read_utf8,
+    read_json,
     split_stages,
     standardization_stats,
 )
@@ -83,9 +83,6 @@ class ScenarioConfig:
 
 _DATA_SOURCES = {"synthetic": SyntheticSpec, "csv": CsvSource}
 
-# The one field whose file key differs from its name.
-_FILE_KEYS = {"learning_rate": "lr"}
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -108,11 +105,6 @@ _KINDS = {
 }
 
 
-def _file_fields(cls) -> dict:
-    """File key -> dataclass field of one config section."""
-    return {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
-
-
 def _require_keys(section: dict, allowed: dict, where: str) -> dict:
     """Strict schema check: unknown keys are config errors, not warnings."""
     if not isinstance(section, dict):
@@ -128,25 +120,20 @@ def _require_keys(section: dict, allowed: dict, where: str) -> dict:
 
 def _parse_section(cls, section: dict, where: str):
     """``cls`` from one JSON object: a field without a default is a required key."""
-    by_key = _file_fields(cls)
-    _require_keys(section, {key: f.default is MISSING for key, f in by_key.items()}, where)
+    _require_keys(section, {f.name: f.default is MISSING for f in fields(cls)}, where)
     values = {}
-    for key, f in by_key.items():
-        if key in section:
+    for f in fields(cls):
+        if f.name in section:
             kind, check, convert = _KINDS[f.type]
-            if not check(section[key]):
-                raise ConfigError(f"{where}.{key} must be {kind}, got {section[key]!r}")
-            values[f.name] = convert(section[key])
+            if not check(section[f.name]):
+                raise ConfigError(f"{where}.{f.name} must be {kind}, got {section[f.name]!r}")
+            values[f.name] = convert(section[f.name])
     return cls(**values)
 
 
 def _echo_section(section) -> dict:
     """The file form of one config section: ``_parse_section`` reads it back."""
-    echo = {}
-    for key, f in _file_fields(type(section)).items():
-        value = getattr(section, f.name)
-        echo[key] = list(value) if isinstance(value, tuple) else value
-    return echo
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(section).items()}
 
 
 def parse_config(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
@@ -174,11 +161,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
 
 
 def load_config(path, seed_override: int | None = None) -> ScenarioConfig:
-    try:
-        raw = json.loads(read_utf8(path, ConfigError))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(raw, seed_override=seed_override)
+    return parse_config(read_json(path, ConfigError), seed_override=seed_override)
 
 
 # -- metrics -----------------------------------------------------------------
@@ -221,31 +204,29 @@ def evaluate(
 # -- reports -----------------------------------------------------------------
 
 
+# The metrics of a stage entry and of the final block, in report order.
+STAGE_METRICS = ("n_classes", "accuracy", "accn")
+
+
 @dataclass
 class StageReport:
-    """Metrics of one service stage."""
+    """Metrics of one service stage; fields are in report order."""
 
     stage: int
     n_classes: int
     accuracy: float
+    accn: float = field(init=False)
     per_group_accuracy: list[float]
     epoch_losses: list[float]
     wall_clock_seconds: float = 0.0
-    accn: float = field(init=False)
 
     def __post_init__(self):
         self.accn = accn(self.n_classes, self.accuracy)
 
     def to_dict(self) -> dict:
-        # wall clock intentionally excluded: reports must be byte-stable
-        return {
-            "stage": self.stage,
-            "n_classes": self.n_classes,
-            "accuracy": self.accuracy,
-            "accn": self.accn,
-            "per_group_accuracy": list(self.per_group_accuracy),
-            "epoch_losses": list(self.epoch_losses),
-        }
+        doc = asdict(self)
+        del doc["wall_clock_seconds"]  # reports must be byte-stable
+        return doc
 
 
 @dataclass
@@ -274,12 +255,7 @@ class RunReport:
             "config": self.config_echo,
             "stages": [r.to_dict() for r in self.stage_reports],
             "ideal_accn": self.ideal_accn,
-            "final": {
-                "stage": self.final.stage,
-                "n_classes": self.final.n_classes,
-                "accuracy": self.final.accuracy,
-                "accn": self.final.accn,
-            },
+            "final": {key: getattr(self.final, key) for key in ("stage", *STAGE_METRICS)},
         }
 
     def to_json(self) -> str:
@@ -363,14 +339,15 @@ class BaseStage:
     Holds the standardized (train, test) pair of every stage, the base model,
     its exemplar store, the training RNG's state after stage 0, and the
     stage-0 report. Nothing downstream mutates the model, the store or the
-    report (a stage update trains a copy and extends a copy of the store), so
-    one BaseStage serves any number of runs that share its key.
+    report (a stage update trains a copy of the model and returns a new store
+    of the same read-only rows), so one BaseStage serves any number of runs
+    that share its key.
     """
 
     key: tuple
     stages: list[tuple[LabeledDataset, LabeledDataset]]
     model: IncModel
-    store: ExemplarStore
+    store: dict[int, np.ndarray]
     rng_state: dict
     report: StageReport
 
@@ -383,7 +360,7 @@ def run_base_stage(config: ScenarioConfig) -> BaseStage:
     message names stage 0.
     """
     train_pool, test_pool = _load_pools(config)
-    stages, _ = split_stages(train_pool, test_pool, config.plan)
+    stages = split_stages(train_pool, test_pool, config.plan)
 
     stats = standardization_stats(stages[0][0])
     stages = [

@@ -61,7 +61,7 @@ class ModelConfig:
     """
 
     hidden_dims: tuple[int, ...] = (64, 32)
-    learning_rate: float = 0.1
+    lr: float = 0.1
     batch_size: int = 32
     epochs_per_stage: int = 30
 
@@ -69,8 +69,8 @@ class ModelConfig:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigError(f"hidden dims must all be >= 1, got {self.hidden_dims}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs_per_stage < 1:
@@ -212,7 +212,7 @@ class IncModel:
         if distill_loss not in DISTILL_TABLE:
             raise ValueError(f"unknown distill_loss {distill_loss!r}, expected one of {DISTILL_LOSSES}")
         if lr is None:
-            lr = self.config.learning_rate
+            lr = self.config.lr
 
         X = self._check_input(X)
         logits, pres, acts = self._forward_cached(X)

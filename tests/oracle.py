@@ -138,7 +138,7 @@ def reference_distill(distill_loss: str, s_logits: np.ndarray, t_logits: np.ndar
 def reference_step(model, X, y, teacher=None, alpha=0.0, distill_loss="mse", lr=None) -> float:
     """One SGD step on ``model`` in place; returns the pre-step mean loss."""
     if lr is None:
-        lr = model.config.learning_rate
+        lr = model.config.lr
     X = np.ascontiguousarray(X, dtype=np.float64)
     logits, pres, acts = _forward(model, X)
     n = logits.shape[0]

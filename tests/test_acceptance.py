@@ -103,7 +103,7 @@ def test_c01_gradients_match_finite_differences_for_every_loss():
     """CE and CE+{MSE,KLD,L1} distill gradients vs central differences,
     h=1e-5, per-parameter relative error <= 1e-4, in under 10 seconds."""
     started = time.perf_counter()
-    cfg = ModelConfig(hidden_dims=(5,), learning_rate=0.1, batch_size=4, epochs_per_stage=1)
+    cfg = ModelConfig(hidden_dims=(5,), lr=0.1, batch_size=4, epochs_per_stage=1)
     teacher_model = IncModel.init(cfg, 6, 3, numkit.make_rng(31))
     student_base = teacher_model.copy()
     student_base.expand_head(2, numkit.make_rng(32))
@@ -229,7 +229,7 @@ def test_c03_weight_align_postconditions_on_100_random_heads():
 def test_c04_all_toggles_off_is_bit_identical_to_plain_fine_tuning():
     """ccs_stage_update with everything disabled must equal an independently
     written fine-tuning loop over the same seeded batch stream, bit for bit."""
-    cfg = ModelConfig(hidden_dims=(8,), learning_rate=0.1, batch_size=16, epochs_per_stage=6)
+    cfg = ModelConfig(hidden_dims=(8,), lr=0.1, batch_size=16, epochs_per_stage=6)
     prev = IncModel.init(cfg, 5, 4, numkit.make_rng(41))
     rng_data = numkit.make_rng(42)
     base = LabeledDataset(rng_data.normal(size=(40, 5)), np.repeat(np.arange(4), 10))
@@ -265,12 +265,12 @@ def test_c04_all_toggles_off_is_bit_identical_to_plain_fine_tuning():
             grad[np.arange(len(y)), y] -= 1.0
             grad /= len(y)
             d_act = grad @ head
-            head = head - cfg.learning_rate * (grad.T @ acts[-1])
+            head = head - cfg.lr * (grad.T @ acts[-1])
             for k in range(len(weights) - 1, -1, -1):
                 d_pre = d_act * (pres[k] > 0)
                 d_act = d_pre @ weights[k]
-                weights[k] = weights[k] - cfg.learning_rate * (d_pre.T @ acts[k])
-                biases[k] = biases[k] - cfg.learning_rate * d_pre.sum(axis=0)
+                weights[k] = weights[k] - cfg.lr * (d_pre.T @ acts[k])
+                biases[k] = biases[k] - cfg.lr * d_pre.sum(axis=0)
 
     npt.assert_array_equal(model.head, head)
     for got, want in zip(model.weights, weights):

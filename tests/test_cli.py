@@ -113,6 +113,27 @@ def test_malformed_csv_data_exits_3(tmp_path):
     assert cli.main(["run", "--config", str(config)]) == 3
 
 
+def test_label_too_large_for_int64_exits_3(tmp_path, capsys):
+    bad = tmp_path / "big.csv"
+    bad.write_text("0,1.0\n99999999999999999999,1.0\n")
+    config = write_config(tmp_path, data={"csv": {"train": str(bad), "test": str(bad)}}, stages=[[0]])
+    assert cli.main(["run", "--config", str(config)]) == 3
+    assert "data error: line 2: label must be a non-negative 64-bit integer" in capsys.readouterr().err
+
+
+def test_config_saved_with_a_bom_runs(tmp_path):
+    config = write_config(tmp_path)
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 0
+
+
+def test_non_finite_number_in_config_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    config.write_text(config.read_text().replace('"input_dim": 3', '"input_dim": 3, "center_scale": Infinity'))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 2
+    assert f"config error: {config}: Infinity is not a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("pool,stage", [("train", 0), ("train", 1), ("test", 0), ("test", 1)])
 def test_stage_without_train_or_test_rows_exits_2(tmp_path, capsys, pool, stage):
     groups = [[0, 1], [2, 3]]
@@ -236,8 +257,33 @@ def test_report_rejects_malformed_report_with_a_data_error(tmp_path, capsys, doc
     assert f"data error: {bad}" in capsys.readouterr().err
 
 
+def test_report_with_a_non_finite_metric_exits_3(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "runs"
+    cli.main(["run", "--config", str(config), "--out", str(out)])
+    report = out / "run-seed5.json"
+    text = report.read_text()
+    start = text.index('"accuracy": ') + len('"accuracy": ')
+    report.write_text(text[:start] + "NaN" + text[text.index(",", start):])
+    merged = tmp_path / "merged.csv"
+    assert cli.main(["report", str(report), "--out", str(merged)]) == 3
+    assert f"data error: {report}: NaN is not a finite number" in capsys.readouterr().err
+    assert not merged.exists()
+
+
 def test_report_missing_input_exits_3(tmp_path):
     assert cli.main(["report", str(tmp_path / "gone.json"), "--out", str(tmp_path / "m.csv")]) == 3
+
+
+@pytest.mark.parametrize("command", ["gen-data", "run", "ablate"])
+def test_scenario_subcommands_share_config_seed_and_out(command):
+    parser = cli.build_parser()
+    args = parser.parse_args([command, "--config", "c.json", "--seed", "4", "--out", "o"])
+    assert (args.config, args.seed, args.out) == ("c.json", 4, "o")
+    args = parser.parse_args([command, "--config", "c.json"])
+    assert (args.seed, args.out) == (None, ".")
+    with pytest.raises(SystemExit):
+        parser.parse_args([command])
 
 
 def test_cli_requires_a_subcommand():

@@ -7,7 +7,6 @@ import pytest
 from inkrementa import continual, numkit
 from inkrementa.continual import (
     CcsSettings,
-    ExemplarStore,
     build_exemplar_store,
     ccs_stage_update,
     herding_select,
@@ -20,7 +19,7 @@ from inkrementa.errors import (
     EmptyInputError,
     ShapeError,
 )
-from inkrementa.model import IncModel, ModelConfig
+from inkrementa.model import IncModel, ModelConfig, train_epochs
 
 
 def embed_model(input_dim=4, num_classes=3, seed=0, hidden=()):
@@ -28,32 +27,6 @@ def embed_model(input_dim=4, num_classes=3, seed=0, hidden=()):
     geometry of herding directly controllable from the test."""
     cfg = ModelConfig(hidden_dims=hidden)
     return IncModel.init(cfg, input_dim, num_classes, numkit.make_rng(seed))
-
-
-# -- ExemplarStore ------------------------------------------------------------
-
-
-def test_store_flatten_keeps_class_insertion_order():
-    store = ExemplarStore()
-    store.per_class[3] = np.array([[1.0, 1.0], [2.0, 2.0]])
-    store.per_class[1] = np.array([[3.0, 3.0]])
-    feats, labels = store.flatten()
-    npt.assert_array_equal(feats, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    npt.assert_array_equal(labels, [3, 3, 1])
-    assert store.flatten()[0].shape[0] == 3
-
-
-def test_store_flatten_empty_is_an_error():
-    with pytest.raises(EmptyInputError):
-        ExemplarStore().flatten()
-
-
-def test_store_copy_is_deep():
-    store = ExemplarStore()
-    store.per_class[0] = np.array([[1.0]])
-    dup = store.copy()
-    dup.per_class[0][0, 0] = 9.0
-    assert store.per_class[0][0, 0] == 1.0
 
 
 # -- CcsSettings ----------------------------------------------------------------
@@ -188,8 +161,8 @@ def test_build_store_k1_adds_one_entry_per_class():
     model = embed_model()
     ds = class_dataset(10, 6)
     store = build_exemplar_store(model, ds, k=1)
-    assert tuple(store.per_class) == tuple(range(10))
-    assert store.flatten()[0].shape[0] == 10
+    assert tuple(store) == tuple(range(10))
+    assert all(rows.shape == (1, 4) for rows in store.values())
 
 
 def test_build_store_450_exemplars_case():
@@ -197,7 +170,7 @@ def test_build_store_450_exemplars_case():
     model = embed_model()
     ds = class_dataset(15, 40, seed=2)
     store = build_exemplar_store(model, ds, k=30)
-    assert store.flatten()[0].shape[0] == 450
+    assert sum(len(rows) for rows in store.values()) == 450
 
 
 def test_build_store_empty_dataset_returns_store_unchanged():
@@ -205,22 +178,34 @@ def test_build_store_empty_dataset_returns_store_unchanged():
     existing = build_exemplar_store(model, class_dataset(3, 5), k=1)
     empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
     out = build_exemplar_store(model, empty, k=1, existing=existing)
-    assert tuple(out.per_class) == tuple(existing.per_class)
-    for c in existing.per_class:
-        npt.assert_array_equal(out.per_class[c], existing.per_class[c])
+    assert out == existing and out is not existing
 
 
 def test_build_store_rejects_overlap_and_never_mutates_existing():
     model = embed_model()
     existing = build_exemplar_store(model, class_dataset(3, 5), k=1)
-    frozen = {c: rows.copy() for c, rows in existing.per_class.items()}
+    frozen = {c: rows.copy() for c, rows in existing.items()}
     with pytest.raises(ConflictError):
         build_exemplar_store(model, class_dataset(2, 5, seed=3), k=1, existing=existing)
     extended = build_exemplar_store(model, class_dataset(2, 5, seed=3, first_id=3), k=1, existing=existing)
-    assert tuple(extended.per_class) == (0, 1, 2, 3, 4)
-    assert tuple(existing.per_class) == (0, 1, 2)
+    assert tuple(extended) == (0, 1, 2, 3, 4)
+    assert tuple(existing) == (0, 1, 2)
     for c, rows in frozen.items():
-        npt.assert_array_equal(existing.per_class[c], rows)
+        npt.assert_array_equal(existing[c], rows)
+
+
+def test_build_store_rows_are_read_only_and_shared_by_extensions():
+    model = embed_model()
+    existing = build_exemplar_store(model, class_dataset(3, 5), k=2)
+    before = dict(existing)
+    extended = build_exemplar_store(model, class_dataset(2, 5, seed=3, first_id=3), k=2, existing=existing)
+    assert existing == before  # same keys, same row objects
+    for c, rows in extended.items():
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 9.0
+        if c in existing:
+            assert rows is existing[c]
 
 
 def test_build_store_rows_are_the_herding_choices():
@@ -230,7 +215,7 @@ def test_build_store_rows_are_the_herding_choices():
     for c in (0, 1):
         rows = ds.class_rows(c)
         chosen = herding_select(model, rows, 3)
-        npt.assert_array_equal(store.per_class[c], rows[chosen])
+        npt.assert_array_equal(store[c], rows[chosen])
 
 
 # -- weight_align ---------------------------------------------------------------------
@@ -298,7 +283,7 @@ def test_weight_align_monotone_argmax_for_old_winners():
 
 
 def stage_inputs(seed=0):
-    cfg = ModelConfig(hidden_dims=(8,), learning_rate=0.1, batch_size=8, epochs_per_stage=4)
+    cfg = ModelConfig(hidden_dims=(8,), lr=0.1, batch_size=8, epochs_per_stage=4)
     rng = numkit.make_rng(seed)
     prev = IncModel.init(cfg, 4, 3, rng)
     base = class_dataset(3, 12, seed=seed + 1)
@@ -326,21 +311,21 @@ def test_stage_update_grows_model_and_store():
     ctx = CcsSettings(k=1)
     model, new_store, losses = ccs_stage_update(prev, new_data, store, ctx, numkit.make_rng(4))
     assert model.num_classes == 5
-    assert tuple(new_store.per_class) == (0, 1, 2, 3, 4)
-    assert new_store.flatten()[0].shape[0] == 5
+    assert tuple(new_store) == (0, 1, 2, 3, 4)
+    assert sum(len(rows) for rows in new_store.values()) == 5
     assert len(losses) == cfg.epochs_per_stage
     # inputs untouched
     assert prev.num_classes == 3
-    assert tuple(store.per_class) == (0, 1, 2)
+    assert tuple(store) == (0, 1, 2)
 
 
 def test_stage_update_old_store_rows_are_frozen():
     prev, new_data, store, cfg = stage_inputs(seed=5)
-    frozen = {c: rows.copy() for c, rows in store.per_class.items()}
+    frozen = {c: rows.copy() for c, rows in store.items()}
     ctx = CcsSettings(k=1)
     _, new_store, _ = ccs_stage_update(prev, new_data, store, ctx, numkit.make_rng(6))
     for c, rows in frozen.items():
-        npt.assert_array_equal(new_store.per_class[c], rows)
+        npt.assert_array_equal(new_store[c], rows)
 
 
 def test_stage_update_new_exemplars_use_the_updated_model():
@@ -349,7 +334,32 @@ def test_stage_update_new_exemplars_use_the_updated_model():
     model, new_store, _ = ccs_stage_update(prev, new_data, store, ctx, numkit.make_rng(8))
     for c in (3, 4):
         rows = new_data.class_rows(c)
-        npt.assert_array_equal(new_store.per_class[c], rows[herding_select(model, rows, 2)])
+        npt.assert_array_equal(new_store[c], rows[herding_select(model, rows, 2)])
+
+
+@pytest.mark.parametrize("use_exemplars,empty_store", [(True, False), (False, False), (True, True)])
+def test_stage_update_trains_on_new_rows_then_exemplars_in_insertion_order(monkeypatch, use_exemplars, empty_store):
+    prev, new_data, _, cfg = stage_inputs(seed=15)
+    rng = numkit.make_rng(16)
+    # a store whose insertion order is not its id order, with uneven class sizes
+    store = {2: rng.normal(size=(2, 4)), 0: rng.normal(size=(1, 4)), 1: rng.normal(size=(3, 4))}
+    if empty_store:
+        store = {}
+    pools = []
+
+    def capture(model, features, labels, rng, **kwargs):
+        pools.append((features.copy(), labels.copy()))
+        return train_epochs(model, features, labels, rng, **kwargs)
+
+    monkeypatch.setattr(continual, "train_epochs", capture)
+    ccs_stage_update(prev, new_data, store, CcsSettings(use_exemplars=use_exemplars), numkit.make_rng(17))
+    [(features, labels)] = pools
+    if use_exemplars and store:
+        npt.assert_array_equal(features, np.vstack([new_data.features, store[2], store[0], store[1]]))
+        npt.assert_array_equal(labels, [*new_data.labels, 2, 2, 0, 1, 1, 1])
+    else:
+        npt.assert_array_equal(features, new_data.features)
+        npt.assert_array_equal(labels, new_data.labels)
 
 
 def test_stage_update_weight_align_toggle_changes_only_new_rows_scale():
@@ -398,12 +408,12 @@ def test_stage_update_reduces_to_plain_fine_tuning_bit_exactly():
             grad[np.arange(len(y)), y] -= 1.0
             grad /= len(y)
             d_act = grad @ head
-            head = head - cfg.learning_rate * (grad.T @ acts[-1])
+            head = head - cfg.lr * (grad.T @ acts[-1])
             for k in range(len(weights) - 1, -1, -1):
                 d_pre = d_act * (pres[k] > 0)
                 d_act = d_pre @ weights[k]
-                weights[k] = weights[k] - cfg.learning_rate * (d_pre.T @ acts[k])
-                biases[k] = biases[k] - cfg.learning_rate * d_pre.sum(axis=0)
+                weights[k] = weights[k] - cfg.lr * (d_pre.T @ acts[k])
+                biases[k] = biases[k] - cfg.lr * d_pre.sum(axis=0)
 
     npt.assert_array_equal(model.head, head)
     for wa, wb in zip(model.weights, weights):

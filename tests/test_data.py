@@ -1,4 +1,6 @@
-"""Tests for dataset construction, CSV ingestion, stage splits, standardization."""
+"""Tests for dataset construction, CSV and JSON ingestion, stage splits, standardization."""
+
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +14,7 @@ from inkrementa.data import (
     apply_standardization,
     generate_synthetic,
     load_csv,
+    read_json,
     save_csv,
     split_stages,
     standardization_stats,
@@ -138,7 +141,7 @@ def test_synthetic_separable_corpus_trains_to_90_percent():
     stats = standardization_stats(train)
     train = apply_standardization(train, stats)
     test = apply_standardization(test, stats)
-    cfg = ModelConfig(hidden_dims=(64, 32), learning_rate=0.1, batch_size=32, epochs_per_stage=30)
+    cfg = ModelConfig(hidden_dims=(64, 32), lr=0.1, batch_size=32, epochs_per_stage=30)
     model = IncModel.init(cfg, 8, 50, numkit.make_rng(1))
     train_epochs(model, train.features, train.labels, numkit.make_rng(2))
     logits, _ = model.forward_batch(test.features)
@@ -197,6 +200,44 @@ def test_load_csv_negative_label(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_label_beyond_int64_cites_line_number(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("9223372036854775807,1.0\n99999999999999999999,1.0\n")
+    with pytest.raises(ParseError, match="line 2"):
+        load_csv(path)
+    path.write_text("9223372036854775807,1.0\n")
+    assert load_csv(path).labels.tolist() == [2**63 - 1]
+
+
+@pytest.mark.parametrize("header", ["", "label,f1\n"])
+def test_load_csv_with_a_bom_keeps_every_row_and_line_number(tmp_path, header):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(("\ufeff" + header + "0,1.0\n1,2.0\n").encode("utf-8"))
+    ds = load_csv(path)
+    assert ds.n_samples == 2
+    npt.assert_array_equal(ds.labels, [0, 1])
+    path.write_bytes("\ufeff0,1.0\n1,abc\n".encode("utf-8"))
+    with pytest.raises(ParseError, match="line 2"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_read_json_rejects_non_finite_numbers_naming_the_file(tmp_path, token):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": [1.5, %s]}' % token)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {token} is not a finite number")):
+        read_json(path, ConfigError)
+    path.write_text('{"a": [1.5, 2]}')
+    assert read_json(path, ConfigError) == {"a": [1.5, 2]}
+
+
+def test_read_json_names_the_file_of_invalid_json(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("{oops")
+    with pytest.raises(ParseError, match=re.escape(f"{path} is not valid JSON")):
+        read_json(path, ParseError)
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "nope.csv")
@@ -237,19 +278,23 @@ def test_split_55_classes_into_five_stages():
     train, test = five_stage_corpus()
     plan = StagePlan((tuple(range(15)), tuple(range(15, 25)), tuple(range(25, 35)),
                       tuple(range(35, 45)), tuple(range(45, 55))))
-    stages, remap = split_stages(train, test, plan)
+    stages = split_stages(train, test, plan)
     assert len(stages) == 5
     assert [len(s[0].class_ids) for s in stages] == [15, 10, 10, 10, 10]
     assert stages[0][0].n_samples == 15 * 4 and stages[1][1].n_samples == 10 * 2
-    assert sorted(remap) == list(range(55))
-    assert sorted(remap.values()) == list(range(55))
+    # the plan is in id order, so every class keeps its id
+    for group, pair in zip(plan.groups, stages):
+        for dataset in pair:
+            assert dataset.class_ids == group
+            assert set(dataset.labels.tolist()) == set(group)
 
 
 def test_split_remap_is_contiguous_in_stage_visit_order():
     ds = LabeledDataset(np.zeros((6, 1)), [4, 9, 2, 4, 9, 2])
     plan = StagePlan(((9,), (2, 4)))
-    stages, remap = split_stages(ds, ds, plan)
-    assert remap == {9: 0, 2: 1, 4: 2}
+    stages = split_stages(ds, ds, plan)
+    # 9 -> 0, 2 -> 1, 4 -> 2: plan order, not id order
+    assert [s[0].class_ids for s in stages] == [(0,), (1, 2)]
     npt.assert_array_equal(stages[0][0].labels, [0, 0])
     npt.assert_array_equal(stages[1][0].labels, [2, 1, 2, 1])
 
@@ -258,7 +303,7 @@ def test_split_concatenation_is_a_permutation_of_source():
     train, test = five_stage_corpus(seed=9)
     plan = StagePlan((tuple(range(15)), tuple(range(15, 25)), tuple(range(25, 35)),
                       tuple(range(35, 45)), tuple(range(45, 55))))
-    stages, remap = split_stages(train, test, plan)
+    stages = split_stages(train, test, plan)
     rebuilt = np.vstack([s[0].features for s in stages])
     assert rebuilt.shape == train.features.shape
     order = np.lexsort(rebuilt.T)
@@ -272,8 +317,8 @@ def test_split_permuted_plan_same_samples_different_grouping():
                       tuple(range(35, 45)), tuple(range(45, 55))))
     permuted = StagePlan((tuple(range(15)), tuple(range(25, 35)), tuple(range(45, 55)),
                           tuple(range(35, 45)), tuple(range(15, 25))))
-    stages_a, _ = split_stages(train, test, base)
-    stages_b, _ = split_stages(train, test, permuted)
+    stages_a = split_stages(train, test, base)
+    stages_b = split_stages(train, test, permuted)
     npt.assert_array_equal(stages_a[1][0].features, stages_b[4][0].features)
     a_all = np.sort(np.vstack([s[0].features for s in stages_a]), axis=0)
     b_all = np.sort(np.vstack([s[0].features for s in stages_b]), axis=0)
@@ -282,10 +327,11 @@ def test_split_permuted_plan_same_samples_different_grouping():
 
 def test_split_single_group_is_one_joint_stage():
     ds = LabeledDataset(np.zeros((4, 2)), [0, 1, 2, 1])
-    stages, remap = split_stages(ds, ds, StagePlan(((0, 1, 2),)))
+    stages = split_stages(ds, ds, StagePlan(((0, 1, 2),)))
     assert len(stages) == 1
     assert stages[0][0].n_samples == 4
-    assert remap == {0: 0, 1: 1, 2: 2}
+    assert stages[0][0].class_ids == (0, 1, 2)
+    npt.assert_array_equal(stages[0][0].labels, [0, 1, 2, 1])
 
 
 def test_split_rejects_missing_or_unknown_classes():

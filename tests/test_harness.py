@@ -11,6 +11,7 @@ from inkrementa.data import SyntheticSpec
 from inkrementa.errors import ConfigError, MappingError
 from inkrementa.harness import (
     ABLATION_PRESETS,
+    STAGE_METRICS,
     CcsSettings,
     CsvSource,
     StageReport,
@@ -294,6 +295,27 @@ def test_stage_report_accn_consistency():
     assert d["n_classes"] == 25
 
 
+def test_stage_report_dict_is_in_report_order():
+    report = StageReport(1, 4, 0.5, [0.5], [1.0], wall_clock_seconds=2.0)
+    assert report.to_dict() == {
+        "stage": 1,
+        "n_classes": 4,
+        "accuracy": 0.5,
+        "accn": 2.0,
+        "per_group_accuracy": [0.5],
+        "epoch_losses": [1.0],
+    }
+    assert list(report.to_dict()) == ["stage", *STAGE_METRICS, "per_group_accuracy", "epoch_losses"]
+
+
+def test_every_public_name_resolves():
+    import inkrementa
+
+    assert len(set(inkrementa.__all__)) == len(inkrementa.__all__)
+    for name in inkrementa.__all__:
+        assert getattr(inkrementa, name) is not None, name
+
+
 def test_canonical_json_formats_floats_at_six_places():
     doc = {"a": 14.64, "b": [1, True, None], "c": {"x": 0.5}}
     text = canonical_json(doc)
@@ -403,7 +425,7 @@ def test_run_scenario_class_with_test_rows_but_no_train_rows(tmp_path, monkeypat
     assert [r.n_classes for r in report.stage_reports] == [3, 6]
     model, store, _ = updates[-1]
     assert model.num_classes == 6  # class 4 has its head row
-    assert tuple(store.per_class) == (0, 1, 2, 3, 5)  # but no exemplar
+    assert tuple(store) == (0, 1, 2, 3, 5)  # but no exemplar
 
 
 def test_run_scenario_reads_every_row_of_a_csv_with_quoted_labels(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from inkrementa.model import DISTILL_LOSSES, DISTILL_TABLE, IncModel, ModelConfi
 
 
 def small_config(**overrides):
-    base = dict(hidden_dims=(5,), learning_rate=0.1, batch_size=4, epochs_per_stage=3)
+    base = dict(hidden_dims=(5,), lr=0.1, batch_size=4, epochs_per_stage=3)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -31,7 +31,7 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
         ModelConfig(hidden_dims=(8, 0))
     with pytest.raises(ConfigError):
-        ModelConfig(learning_rate=0.0)
+        ModelConfig(lr=0.0)
     with pytest.raises(ConfigError):
         ModelConfig(batch_size=0)
     with pytest.raises(ConfigError):
@@ -357,7 +357,7 @@ def toy_three_class_set(seed=0):
 
 
 def test_training_reaches_95_percent_on_separable_toy_set():
-    cfg = ModelConfig(hidden_dims=(16,), learning_rate=0.1, batch_size=32, epochs_per_stage=200)
+    cfg = ModelConfig(hidden_dims=(16,), lr=0.1, batch_size=32, epochs_per_stage=200)
     model = IncModel.init(cfg, 2, 3, numkit.make_rng(0))
     X, y = toy_three_class_set()
     losses = train_epochs(model, X, y, numkit.make_rng(1))
@@ -370,7 +370,7 @@ def test_training_reaches_95_percent_on_separable_toy_set():
 
 def test_training_is_bit_deterministic():
     X, y = toy_three_class_set(seed=3)
-    cfg = ModelConfig(hidden_dims=(8,), learning_rate=0.1, batch_size=16, epochs_per_stage=5)
+    cfg = ModelConfig(hidden_dims=(8,), lr=0.1, batch_size=16, epochs_per_stage=5)
 
     def run():
         model = IncModel.init(cfg, 2, 3, numkit.make_rng(21))
@@ -416,7 +416,7 @@ def test_train_epochs_rejects_labels_that_do_not_match_the_rows(shape):
 
 def reference_pair(seed=40):
     """A 10-class teacher and its 15-class student at the default architecture."""
-    cfg = ModelConfig(hidden_dims=(64, 32), learning_rate=0.1, batch_size=32, epochs_per_stage=3)
+    cfg = ModelConfig(hidden_dims=(64, 32), lr=0.1, batch_size=32, epochs_per_stage=3)
     teacher_model = IncModel.init(cfg, 8, 10, numkit.make_rng(seed))
     X = numkit.make_rng(seed + 1).normal(size=(32, 8))
     for _ in range(5):
@@ -467,7 +467,7 @@ def test_step_is_bit_identical_to_the_reference_step(distill_loss, alpha, rows):
 @pytest.mark.parametrize("distill_loss, alpha", [("mse", 0.0), ("mse", 0.05), ("l1", 0.05), ("kld", 0.05)])
 def test_train_epochs_is_bit_identical_to_a_per_batch_gather_loop(distill_loss, alpha):
     model, teacher = reference_pair(seed=50)
-    model.config = replace(model.config, learning_rate=0.05)  # epochs 3, batch 32
+    model.config = replace(model.config, lr=0.05)  # epochs 3, batch 32
     ref = model.copy()
     teacher = teacher if alpha > 0 else None
     data = numkit.make_rng(51)
