@@ -59,10 +59,9 @@ class CcsSettings:
 
 def _normalized_embeddings(model: IncModel, samples: np.ndarray) -> np.ndarray:
     """L2-normalized embeddings of one class's samples; a zero embedding stays zero."""
-    samples = numkit.as_matrix(samples, "samples")
-    if samples.shape[0] == 0:
-        raise EmptyInputError("class has no samples")
     _, embeddings = model.forward_batch(samples)
+    if embeddings.shape[0] == 0:
+        raise EmptyInputError("class has no samples")
     norms = np.sqrt((embeddings**2).sum(axis=1, keepdims=True))
     return embeddings / np.where(norms > 0, norms, 1.0)
 

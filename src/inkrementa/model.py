@@ -17,6 +17,7 @@ Weight convention: layer matrices have shape (out_dim, in_dim), so a batch
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,9 +189,9 @@ class IncModel:
 
     def backward_and_step(
         self,
-        X,
-        y,
-        teacher: "TeacherSnapshot | None" = None,
+        X: np.ndarray,
+        y: np.ndarray,
+        t_logits: np.ndarray | None = None,
         alpha: float = 0.0,
         distill_loss: str = "mse",
         lr: float | None = None,
@@ -199,22 +200,25 @@ class IncModel:
 
         Loss per sample is (1 - alpha) * cross-entropy against the label plus
         alpha * distillation distance between the student's logits restricted
-        to the teacher's classes and the teacher's logits (MSE/L1 on logits,
-        KLD on their softmax at temperature 1). An empty batch raises
-        ``EmptyInputError``.
+        to the teacher's ``u = t_logits.shape[1]`` classes and the teacher's
+        logits ``t_logits`` for the same rows (MSE/L1 on logits, KLD on their
+        softmax at temperature 1). An empty batch raises ``EmptyInputError``.
+
+        The step does not validate its batch: ``X`` must be a 2-D, finite,
+        C-order float64 array with ``input_dim`` columns and ``y`` must hold
+        labels in ``[0, num_classes)``. ``train_epochs`` checks that once per
+        pool. A diverged model shows up as a non-finite returned loss (KLD's
+        softmax raises ``NonFiniteError`` instead).
         """
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if (teacher is None) and alpha > 0:
-            raise ValueError("alpha > 0 requires a teacher snapshot")
-        if (teacher is not None) and alpha == 0:
-            raise ValueError("a teacher snapshot requires alpha > 0")
+        if (t_logits is None) != (alpha == 0):
+            raise ValueError(f"teacher logits must be given exactly when alpha > 0, got alpha={alpha}")
         if distill_loss not in DISTILL_TABLE:
             raise ValueError(f"unknown distill_loss {distill_loss!r}, expected one of {DISTILL_LOSSES}")
         if lr is None:
             lr = self.config.lr
 
-        X = self._check_input(X)
         logits, pres, acts = self._forward_cached(X)
         ce, grad = numkit.softmax_cross_entropy(logits, y)
         n, num_classes = logits.shape
@@ -225,10 +229,9 @@ class IncModel:
         if alpha == 0:
             loss = ce.sum() / n
         else:
-            u = teacher.num_classes
+            u = t_logits.shape[1]
             if u > num_classes:
                 raise ShapeError(f"teacher has {u} classes but student only {num_classes}")
-            t_logits, _ = teacher.forward_batch(X)
             distill, d_s = DISTILL_TABLE[distill_loss](logits[:, :u], t_logits)
             grad[:, :u] += (alpha / n) * d_s
             loss = ((1.0 - alpha) * ce + alpha * distill).sum() / n
@@ -279,7 +282,12 @@ def train_epochs(
     Epoch count, batch size and learning rate are the model's ``config``.
     The only randomness is one ``rng.permutation`` per epoch, which keeps the
     draw sequence identical across loss configurations for the same seed.
-    Non-finite logits on the already-checked features mean the model itself
+
+    This is the boundary of the training loop: the pool's features and
+    labels are checked here, once, and the steps trust them. The frozen
+    teacher's logits never change within a call, so the teacher runs once
+    over the pool and each epoch gathers its logits with the same ``order``
+    as the rows. A non-finite loss on the checked pool means the model itself
     diverged, which raises ``DivergenceError`` naming the epoch.
     """
     cfg = model.config
@@ -289,21 +297,37 @@ def train_epochs(
     n = features.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    if features.shape[1] != model.input_dim:
+        raise ShapeError(f"features have dim {features.shape[1]}, model expects {model.input_dim}")
     if labels.shape != (n,):
         raise ShapeError(f"labels have shape {labels.shape}, expected ({n},)")
+    if labels.min() < 0 or labels.max() >= model.num_classes:
+        raise IndexError(
+            f"labels must lie in [0, {model.num_classes}), got range [{labels.min()}, {labels.max()}]"
+        )
+    t_pool = None if teacher is None else teacher.forward_batch(features)[0]
 
     epoch_losses = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         X, y = features[order], labels[order]
+        T = None if t_pool is None else t_pool[order]
         total = 0.0
         try:
-            for start in range(0, n, batch_size):
-                stop = min(start + batch_size, n)
-                loss = model.backward_and_step(
-                    X[start:stop], y[start:stop], teacher=teacher, alpha=alpha, distill_loss=distill_loss
-                )
-                total += loss * (stop - start)
+            # NaN arithmetic in a diverged model is reported once, by the check below
+            with np.errstate(invalid="ignore"):
+                for start in range(0, n, batch_size):
+                    stop = min(start + batch_size, n)
+                    loss = model.backward_and_step(
+                        X[start:stop],
+                        y[start:stop],
+                        t_logits=None if T is None else T[start:stop],
+                        alpha=alpha,
+                        distill_loss=distill_loss,
+                    )
+                    total += loss * (stop - start)
+            if not math.isfinite(total):
+                raise NonFiniteError(f"the epoch loss is {total}")
         except NonFiniteError as exc:
             raise DivergenceError(f"training diverged in epoch {epoch} of {epochs}: {exc}") from exc
         epoch_losses.append(total / n)

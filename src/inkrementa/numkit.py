@@ -50,7 +50,7 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_cross_entropy(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     """Per-row cross-entropy of 2-D ``logits`` against integer ``labels``.
 
     Returns ``(ce, grad)``: ``ce[i]`` is the negative log softmax probability
@@ -58,17 +58,21 @@ def softmax_cross_entropy(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     the logits, ``softmax(logits) - onehot(labels)``. One row max, one ``exp``
     and one row sum serve both; the gradient is written over the
     probabilities in place.
+
+    This is the SGD step's kernel, so it checks only what is free: the batch
+    is not empty and there is one label per row. ``logits`` must be a 2-D
+    float64 array and ``labels`` must lie in ``[0, num_classes)``; the caller
+    checks its inputs once per pool (``model.train_epochs``). Non-finite
+    logits give a non-finite ``ce``, and a negative label would index from
+    the end of its row.
     """
-    z = as_matrix(logits, "logits")
-    n, num_classes = z.shape
+    n, num_classes = logits.shape
     if n == 0 or num_classes == 0:
-        raise EmptyInputError(f"cross-entropy of an empty batch: logits have shape {z.shape}")
+        raise EmptyInputError(f"cross-entropy of an empty batch: logits have shape {logits.shape}")
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (n,):
         raise ShapeError(f"labels have shape {y.shape}, expected ({n},)")
-    if y.min() < 0 or y.max() >= num_classes:
-        raise IndexError(f"labels must lie in [0, {num_classes}), got range [{y.min()}, {y.max()}]")
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     grad = np.exp(shifted)
     total = grad.sum(axis=1, keepdims=True)
     rows = np.arange(n)

@@ -5,7 +5,8 @@ losses and norms; the tests compare the batched code in ``inkrementa`` against
 them. ``reference_step`` and ``reference_train_epochs`` are frozen copies of
 the straightforward SGD step and epoch loop (a row softmax plus a separate
 log-sum-exp, an ``if``/``elif`` chain of distillation losses, ``np.mean``, and
-one gather per batch). The library's step must stay bit-identical to them.
+one gather per batch, from a teacher pass made once per pool). The library's
+step must stay bit-identical to them.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def reference_distill(distill_loss: str, s_logits: np.ndarray, t_logits: np.ndar
     return distill, d_s
 
 
-def reference_step(model, X, y, teacher=None, alpha=0.0, distill_loss="mse", lr=None) -> float:
+def reference_step(model, X, y, t_logits=None, alpha=0.0, distill_loss="mse", lr=None) -> float:
     """One SGD step on ``model`` in place; returns the pre-step mean loss."""
     if lr is None:
         lr = model.config.lr
@@ -154,8 +155,7 @@ def reference_step(model, X, y, teacher=None, alpha=0.0, distill_loss="mse", lr=
 
     distill = np.zeros(n)
     if alpha > 0:
-        u = teacher.num_classes
-        t_logits, _ = teacher.forward_batch(X)
+        u = t_logits.shape[1]
         distill, d_s = reference_distill(distill_loss, logits[:, :u], t_logits)
         grad[:, :u] += (alpha / n) * d_s
 
@@ -178,18 +178,23 @@ def reference_step(model, X, y, teacher=None, alpha=0.0, distill_loss="mse", lr=
 def reference_train_epochs(
     model, features, labels, rng, *, epochs, batch_size, lr=None, teacher=None, alpha=0.0, distill_loss="mse"
 ) -> list[float]:
-    """Shuffled mini-batch SGD gathering ``features[idx]`` for every batch."""
+    """Shuffled mini-batch SGD gathering ``features[idx]`` for every batch.
+
+    The teacher runs once over the pool; each batch gathers its rows' logits.
+    """
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = features.shape[0]
+    t_pool = None if teacher is None else teacher.forward_batch(features)[0]
     epoch_losses = []
     for _ in range(epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
+            t_logits = None if t_pool is None else t_pool[idx]
             loss = reference_step(
-                model, features[idx], labels[idx], teacher=teacher, alpha=alpha, distill_loss=distill_loss, lr=lr
+                model, features[idx], labels[idx], t_logits=t_logits, alpha=alpha, distill_loss=distill_loss, lr=lr
             )
             total += loss * idx.size
         epoch_losses.append(total / n)

@@ -140,7 +140,12 @@ def test_c01_gradients_match_finite_differences_for_every_loss():
         student = student_base.copy()
         stepped = student.copy()
         stepped.backward_and_step(
-            X, y, teacher=teacher if alpha > 0 else None, alpha=alpha, distill_loss=distill_loss, lr=1.0
+            X,
+            y,
+            t_logits=teacher.forward_batch(X)[0] if alpha > 0 else None,
+            alpha=alpha,
+            distill_loss=distill_loss,
+            lr=1.0,
         )
         analytic = (
             [w - sw for w, sw in zip(student.weights, stepped.weights)]

