@@ -13,12 +13,21 @@ with respect to the student logits. ``DISTILL_LOSSES`` lists its names.
 
 Weight convention: layer matrices have shape (out_dim, in_dim), so a batch
 ``X`` of shape (n, in_dim) maps to ``X @ W.T + b``.
+
+Parameter storage: an SGD step keeps every parameter in one flat float64
+vector, ``weights[k]``, ``biases[k]`` and ``head`` being reshaped views of it,
+and writes its gradients into the matching views of one gradient vector, so
+that a single subtraction updates every layer. Any attribute may still be
+replaced by a new array (``expand_head``, the aligned head of a stage update,
+a fresh ``copy``): before it touches the flat vector, a step repacks every
+parameter that is not one of its views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import is_not
 
 import numpy as np
 
@@ -30,23 +39,23 @@ def _mse_distill(s_logits: np.ndarray, t_logits: np.ndarray):
     """Mean squared logit difference over the teacher's classes."""
     u = t_logits.shape[1]
     diff = s_logits - t_logits
-    return (diff**2).sum(axis=1) / u, 2.0 * diff / u
+    return np.add.reduce(diff**2, axis=1) / u, 2.0 * diff / u
 
 
 def _l1_distill(s_logits: np.ndarray, t_logits: np.ndarray):
     """Mean absolute logit difference over the teacher's classes."""
     u = t_logits.shape[1]
     diff = s_logits - t_logits
-    return np.abs(diff).sum(axis=1) / u, np.sign(diff) / u
+    return np.add.reduce(np.abs(diff), axis=1) / u, np.sign(diff) / u
 
 
 def _kld_distill(s_logits: np.ndarray, t_logits: np.ndarray):
     """KL(teacher || student) of the softmaxes at temperature 1."""
-    s_prob = numkit.softmax_rows(s_logits)
-    t_prob = numkit.softmax_rows(t_logits)
+    s_prob = numkit.softmax_rows_unchecked(s_logits)
+    t_prob = numkit.softmax_rows_unchecked(t_logits)
     q = np.maximum(s_prob, numkit.KL_FLOOR)
     terms = np.where(t_prob > 0, t_prob * np.log(np.maximum(t_prob, numkit.KL_FLOOR) / q), 0.0)
-    return terms.sum(axis=1), s_prob - t_prob
+    return np.add.reduce(terms, axis=1), s_prob - t_prob
 
 
 DISTILL_TABLE = {"mse": _mse_distill, "kld": _kld_distill, "l1": _l1_distill}
@@ -91,6 +100,12 @@ class IncModel:
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
     head: np.ndarray = field(repr=False)
+    # set by `_packed`: the flat parameter and gradient vectors and their
+    # views, in the order weights, biases, head
+    _flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _grads: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _views: tuple = field(default=(), init=False, repr=False, compare=False)
+    _grad_views: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def init(
@@ -149,7 +164,7 @@ class IncModel:
         logits = np.empty((n, self.num_classes))
         embeddings = np.empty((n, self.embed_dim))
         for start in range(0, n, step):
-            block_logits, _, acts = self._forward_cached(X[start : start + step])
+            block_logits, acts = self._forward_cached(X[start : start + step])
             logits[start : start + step] = block_logits
             embeddings[start : start + step] = acts[-1]
         return logits, embeddings
@@ -161,17 +176,20 @@ class IncModel:
         return X
 
     def _forward_cached(self, X: np.ndarray):
-        """Pass over an already-checked matrix; keeps pre-activations and activations."""
+        """Pass over an already-checked matrix; returns (logits, activations).
+
+        The bias and the ReLU are applied in place. A unit's activation is
+        positive exactly when its pre-activation is, so backprop takes its
+        ReLU mask from the activations.
+        """
         acts = [X]
-        pres = []
         a = X
         for w, b in zip(self.weights, self.biases):
-            z = a @ w.T + b
-            a = np.maximum(z, 0.0)
-            pres.append(z)
+            a = np.dot(a, w.T)
+            a += b
+            np.maximum(a, 0.0, out=a)
             acts.append(a)
-        logits = acts[-1] @ self.head.T
-        return logits, pres, acts
+        return np.dot(a, self.head.T), acts
 
     # -- structural updates --------------------------------------------------
 
@@ -184,6 +202,35 @@ class IncModel:
 
     def snapshot(self) -> "TeacherSnapshot":
         return TeacherSnapshot(self)
+
+    def _packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat (parameter, gradient) vectors, repacked first if needed.
+
+        Any parameter array that is not the view packed last (a replaced
+        head, a directly built or copied model) is copied, together with
+        all the others, into new flat vectors, and the attributes become
+        views of them.
+        """
+        params = (*self.weights, *self.biases, self.head)
+        if len(params) != len(self._views) or any(map(is_not, params, self._views)):
+            total = sum(p.size for p in params)
+            self._flat, self._grads = np.empty(total), np.empty(total)
+            views, grad_views, start = [], [], 0
+            for p in params:
+                stop = start + p.size
+                views.append(self._flat[start:stop].reshape(p.shape))
+                views[-1][...] = p
+                grad_views.append(self._grads[start:stop].reshape(p.shape))
+                start = stop
+            self._views, self._grad_views = tuple(views), tuple(grad_views)
+            layers = len(self.weights)
+            self.weights, self.biases, self.head = views[:layers], views[layers:-1], views[-1]
+        return self._flat, self._grads
+
+    def __getstate__(self) -> dict:
+        # pickling or deep-copying detaches the views from the flat vector,
+        # so the copy drops the packing and its next step repacks
+        return {**self.__dict__, "_flat": None, "_grads": None, "_views": (), "_grad_views": ()}
 
     # -- training ------------------------------------------------------------
 
@@ -207,8 +254,7 @@ class IncModel:
         The step does not validate its batch: ``X`` must be a 2-D, finite,
         C-order float64 array with ``input_dim`` columns and ``y`` must hold
         labels in ``[0, num_classes)``. ``train_epochs`` checks that once per
-        pool. A diverged model shows up as a non-finite returned loss (KLD's
-        softmax raises ``NonFiniteError`` instead).
+        pool. A diverged model shows up as a non-finite returned loss.
         """
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -219,7 +265,8 @@ class IncModel:
         if lr is None:
             lr = self.config.lr
 
-        logits, pres, acts = self._forward_cached(X)
+        params, grads = self._packed()
+        logits, acts = self._forward_cached(X)
         ce, grad = numkit.softmax_cross_entropy(logits, y)
         n, num_classes = logits.shape
         grad *= (1.0 - alpha) / n
@@ -227,27 +274,30 @@ class IncModel:
         # mean losses are written sum / count: the same reduction and division
         # as np.mean, without its per-call wrapper
         if alpha == 0:
-            loss = ce.sum() / n
+            loss = np.add.reduce(ce) / n
         else:
             u = t_logits.shape[1]
             if u > num_classes:
                 raise ShapeError(f"teacher has {u} classes but student only {num_classes}")
             distill, d_s = DISTILL_TABLE[distill_loss](logits[:, :u], t_logits)
             grad[:, :u] += (alpha / n) * d_s
-            loss = ((1.0 - alpha) * ce + alpha * distill).sum() / n
+            loss = np.add.reduce((1.0 - alpha) * ce + alpha * distill) / n
 
-        # backprop through the head and hidden stack, stepping as we go
-        d_head = grad.T @ acts[-1]
-        d_act = grad @ self.head
-        self.head -= lr * d_head
-        for k in range(len(self.weights) - 1, -1, -1):
-            d_pre = d_act * (pres[k] > 0)
-            d_w = d_pre.T @ acts[k]
-            d_b = d_pre.sum(axis=0)
+        # backprop through the head and hidden stack from the pre-step
+        # parameters, each gradient written into its view of `grads`
+        layers = len(self.weights)
+        d_params = self._grad_views
+        np.dot(grad.T, acts[-1], out=d_params[-1])
+        d_act = np.dot(grad, self.head)
+        for k in range(layers - 1, -1, -1):
+            d_pre = d_act * (acts[k + 1] > 0)
+            np.dot(d_pre.T, acts[k], out=d_params[k])
+            np.add.reduce(d_pre, axis=0, out=d_params[layers + k])
             if k > 0:  # the input layer's gradient w.r.t. X is never used
-                d_act = d_pre @ self.weights[k]
-            self.weights[k] -= lr * d_w
-            self.biases[k] -= lr * d_b
+                d_act = np.dot(d_pre, self.weights[k])
+        # p - lr * d for every parameter, as two whole-vector operations
+        grads *= lr
+        params -= grads
         return float(loss)
 
 

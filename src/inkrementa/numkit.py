@@ -45,9 +45,19 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = as_matrix(logits, "logits")
     if z.shape[1] == 0:
         raise EmptyInputError("softmax over zero classes")
-    shifted = z - z.max(axis=1, keepdims=True)
+    return softmax_rows_unchecked(z)
+
+
+def softmax_rows_unchecked(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a 2-D float64 array with at least one column.
+
+    The unchecked kernel behind ``softmax_rows``, for callers whose inputs
+    were checked once upstream (the KLD distillation loss inside an SGD
+    step). Non-finite logits give non-finite probabilities.
+    """
+    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -72,9 +82,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[np.ndarray, np.nd
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (n,):
         raise ShapeError(f"labels have shape {y.shape}, expected ({n},)")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     grad = np.exp(shifted)
-    total = grad.sum(axis=1, keepdims=True)
+    total = np.add.reduce(grad, axis=1, keepdims=True)
     rows = np.arange(n)
     ce = np.log(total[:, 0]) - shifted[rows, y]
     grad /= total

@@ -1,5 +1,7 @@
 """Tests for the expandable-head MLP: forward, backprop, training, snapshots."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 
 import oracle
 from inkrementa import numkit
-from inkrementa.errors import ConfigError, EmptyInputError, NonFiniteError, ShapeError
+from inkrementa.continual import weight_align
+from inkrementa.errors import ConfigError, DivergenceError, EmptyInputError, NonFiniteError, ShapeError
 from inkrementa.model import (
     DISTILL_LOSSES,
     DISTILL_TABLE,
@@ -179,6 +182,43 @@ def test_expand_head_rejects_zero():
     model = make_model()
     with pytest.raises(ValueError):
         model.expand_head(0, numkit.make_rng(0))
+
+
+def test_a_copy_of_a_trained_model_shares_no_memory_and_steps_alone():
+    # every ablation variant starts from a copy of one shared stage-0 model
+    model = make_model(num_classes=3, seed=9)
+    X = numkit.make_rng(10).normal(size=(8, 6))
+    y = numkit.make_rng(11).integers(0, 3, size=8)
+    for _ in range(3):
+        model.backward_and_step(X, y)  # trained, so its parameters are packed
+    originals = [*model.weights, *model.biases, model.head]
+    before = [p.tobytes() for p in originals]
+
+    clone = model.copy()
+    fresh = [*clone.weights, *clone.biases, clone.head]
+    for _ in range(3):
+        clone.backward_and_step(X, y)  # packs the copy into its own vector
+    stepped = [*clone.weights, *clone.biases, clone.head]
+
+    for copies in (fresh, stepped):
+        assert not any(np.shares_memory(a, b) for a in originals for b in copies)
+    assert [p.tobytes() for p in (*model.weights, *model.biases, model.head)] == before
+    assert clone.head.tobytes() != before[-1]
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
+)
+def test_a_deep_copied_or_pickled_trained_model_steps_like_the_original(duplicate):
+    model = make_model(num_classes=3, seed=12)
+    X = numkit.make_rng(13).normal(size=(8, 6))
+    y = numkit.make_rng(14).integers(0, 3, size=8)
+    model.backward_and_step(X, y)  # packed
+    twin = duplicate(model)
+    for _ in range(3):
+        model.backward_and_step(X, y)
+        twin.backward_and_step(X, y)
+    assert_same_bits(twin, model)
 
 
 # -- backward_and_step argument contract ----------------------------------------------
@@ -450,7 +490,18 @@ def test_train_epochs_rejects_a_non_finite_feature():
         train_epochs(model, X, np.zeros(10, dtype=np.int64), numkit.make_rng(3))
 
 
-def test_distilling_training_runs_the_teacher_once_and_revalidates_no_batch(monkeypatch):
+def test_a_diverging_kld_run_names_the_epoch():
+    # the KLD loss trusts its logits; the epoch loss check reports the divergence
+    model, teacher = reference_pair(seed=60)  # epochs 3, batch 32
+    model.config = replace(model.config, lr=1e10)
+    data = numkit.make_rng(61)
+    X, y = data.normal(size=(77, 8)), data.integers(0, 15, size=77)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="diverged in epoch 2 of 3"):
+        train_epochs(model, X, y, numkit.make_rng(62), teacher=teacher, alpha=0.5, distill_loss="kld")
+
+
+@pytest.mark.parametrize("distill_loss", ["mse", "l1", "kld"])
+def test_distilling_training_runs_the_teacher_once_and_revalidates_no_batch(monkeypatch, distill_loss):
     """Per-pool work happens once per ``train_epochs`` call, not once per step."""
     model, teacher = reference_pair(seed=60)  # epochs 3, batch 32
     calls = {"teacher": 0, "steps": 0, "as_matrix_in_step": 0}
@@ -479,16 +530,16 @@ def test_distilling_training_runs_the_teacher_once_and_revalidates_no_batch(monk
     monkeypatch.setattr(IncModel, "backward_and_step", watched_step)
     data = numkit.make_rng(61)
     X, y = data.normal(size=(77, 8)), data.integers(0, 15, size=77)
-    train_epochs(model, X, y, numkit.make_rng(62), teacher=teacher, alpha=0.05, distill_loss="mse")
+    train_epochs(model, X, y, numkit.make_rng(62), teacher=teacher, alpha=0.05, distill_loss=distill_loss)
     assert calls == {"teacher": 1, "steps": 3 * 3, "as_matrix_in_step": 0}
 
 
 # -- bit-identity with the frozen reference step -------------------------------------
 
 
-def reference_pair(seed=40):
-    """A 10-class teacher and its 15-class student at the default architecture."""
-    cfg = ModelConfig(hidden_dims=(64, 32), lr=0.1, batch_size=32, epochs_per_stage=3)
+def reference_pair(seed=40, hidden_dims=(64, 32)):
+    """A 10-class teacher and its 15-class student, by default at the default architecture."""
+    cfg = ModelConfig(hidden_dims=hidden_dims, lr=0.1, batch_size=32, epochs_per_stage=3)
     teacher_model = IncModel.init(cfg, 8, 10, numkit.make_rng(seed))
     X = numkit.make_rng(seed + 1).normal(size=(32, 8))
     for _ in range(5):
@@ -519,15 +570,50 @@ def test_distill_table_is_bit_identical_to_the_reference_chain(distill_loss):
         assert np.array_equal(grad, ref_grad)
 
 
-@pytest.mark.parametrize("rows", [32, 13], ids=["full", "ragged"])
-@pytest.mark.parametrize("alpha", [0.0, 0.05])
-@pytest.mark.parametrize("distill_loss", DISTILL_LOSSES)
-def test_step_is_bit_identical_to_the_reference_step(distill_loss, alpha, rows):
-    model, teacher = reference_pair()
+def swap_in_aligned_head(model):
+    """Replace the head by a new array, as a stage update assigns ``weight_align``'s result."""
+    model.head = weight_align(model.head, 10, model.num_classes - 10)
+
+
+def expand_by_two(model):
+    model.expand_head(2, numkit.make_rng(43))
+
+
+# Each case's id is distill_loss-alpha-rows; the cases at another architecture
+# or with a head change in mid-run append it. Layer widths and head changes
+# move every parameter's offset in the flat vector and replace arrays that a
+# step must repack.
+STEP_CASES = [
+    pytest.param(
+        distill_loss,
+        alpha,
+        rows,
+        hidden_dims,
+        change,
+        id="-".join(
+            [distill_loss, str(alpha), rows_id]
+            + ([] if hidden_dims == (64, 32) else ["x".join(map(str, hidden_dims))])
+            + ([] if change is None else [change.__name__])
+        ),
+    )
+    for hidden_dims in [(64, 32), (16,), (24, 16, 8)]
+    for change in [None, swap_in_aligned_head, expand_by_two]
+    for distill_loss in DISTILL_LOSSES
+    for alpha in [0.0, 0.05]
+    for rows, rows_id in [(32, "full"), (13, "ragged")]
+]
+
+
+@pytest.mark.parametrize("distill_loss, alpha, rows, hidden_dims, change", STEP_CASES)
+def test_step_is_bit_identical_to_the_reference_step(distill_loss, alpha, rows, hidden_dims, change):
+    model, teacher = reference_pair(hidden_dims=hidden_dims)
     ref = model.copy()
     teacher = teacher if alpha > 0 else None
     rng = numkit.make_rng(41)
-    for _ in range(6):
+    for step in range(6):
+        if step == 3 and change is not None:
+            change(model)
+            change(ref)
         X = rng.normal(size=(rows, 8)) * 2.0
         y = rng.integers(0, 15, size=rows)
         t_logits = None if teacher is None else teacher.forward_batch(X)[0]
