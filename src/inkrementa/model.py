@@ -5,7 +5,8 @@ row ``j`` is the weight vector of class ``j``. The head carries no bias so
 that per-class row norms fully determine class logit scale, which is what
 head weight aligning manipulates. Backpropagation and SGD are hand-written
 over numpy; the gradient test suite checks every loss configuration against
-central finite differences.
+central finite differences. ``train_epochs`` checks a training call once, and
+its SGD steps (``IncModel.backward_and_step``) check nothing.
 
 The distillation losses are one table, ``DISTILL_TABLE``: ``name ->
 fn(s_logits, t_logits)``, returning the per-sample distance and its gradient
@@ -32,7 +33,7 @@ from operator import is_not
 import numpy as np
 
 from . import numkit
-from .errors import ConfigError, DivergenceError, NonFiniteError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError
 
 
 def _mse_distill(s_logits: np.ndarray, t_logits: np.ndarray):
@@ -241,7 +242,6 @@ class IncModel:
         t_logits: np.ndarray | None = None,
         alpha: float = 0.0,
         distill_loss: str = "mse",
-        lr: float | None = None,
     ) -> float:
         """One SGD step on the mean batch loss; returns the pre-step loss.
 
@@ -251,24 +251,18 @@ class IncModel:
         logits ``t_logits`` for the same rows (MSE/L1 on logits, KLD on their
         softmax at temperature 1). An empty batch raises ``EmptyInputError``.
 
-        The step does not validate its batch: ``X`` must be a 2-D, finite,
-        C-order float64 array with ``input_dim`` columns and ``y`` must hold
-        labels in ``[0, num_classes)``. ``train_epochs`` checks that once per
-        pool. A diverged model shows up as a non-finite returned loss.
+        The step checks nothing: ``X`` must be a 2-D, finite, C-order float64
+        array with ``input_dim`` columns, ``y`` labels in ``[0, num_classes)``,
+        ``alpha`` in [0, 1], ``t_logits`` given exactly when ``alpha > 0`` with
+        at most ``num_classes`` columns, and ``distill_loss`` a key of
+        ``DISTILL_TABLE``; ``train_epochs`` checks that once per call. The
+        learning rate is ``config.lr``. A diverged model shows up as a
+        non-finite returned loss.
         """
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if (t_logits is None) != (alpha == 0):
-            raise ValueError(f"teacher logits must be given exactly when alpha > 0, got alpha={alpha}")
-        if distill_loss not in DISTILL_TABLE:
-            raise ValueError(f"unknown distill_loss {distill_loss!r}, expected one of {DISTILL_LOSSES}")
-        if lr is None:
-            lr = self.config.lr
-
         params, grads = self._packed()
         logits, acts = self._forward_cached(X)
         ce, grad = numkit.softmax_cross_entropy(logits, y)
-        n, num_classes = logits.shape
+        n = logits.shape[0]
         grad *= (1.0 - alpha) / n
 
         # mean losses are written sum / count: the same reduction and division
@@ -277,8 +271,6 @@ class IncModel:
             loss = np.add.reduce(ce) / n
         else:
             u = t_logits.shape[1]
-            if u > num_classes:
-                raise ShapeError(f"teacher has {u} classes but student only {num_classes}")
             distill, d_s = DISTILL_TABLE[distill_loss](logits[:, :u], t_logits)
             grad[:, :u] += (alpha / n) * d_s
             loss = np.add.reduce((1.0 - alpha) * ce + alpha * distill) / n
@@ -296,7 +288,7 @@ class IncModel:
             if k > 0:  # the input layer's gradient w.r.t. X is never used
                 d_act = np.dot(d_pre, self.weights[k])
         # p - lr * d for every parameter, as two whole-vector operations
-        grads *= lr
+        grads *= self.config.lr
         params -= grads
         return float(loss)
 
@@ -334,7 +326,8 @@ def train_epochs(
     draw sequence identical across loss configurations for the same seed.
 
     This is the boundary of the training loop: the pool's features and
-    labels are checked here, once, and the steps trust them. The frozen
+    labels and the loss settings are checked here, once, before the first
+    random draw and the teacher pass, and the steps trust them. The frozen
     teacher's logits never change within a call, so the teacher runs once
     over the pool and each epoch gathers its logits with the same ``order``
     as the rows. A non-finite loss on the checked pool means the model itself
@@ -355,6 +348,14 @@ def train_epochs(
         raise IndexError(
             f"labels must lie in [0, {model.num_classes}), got range [{labels.min()}, {labels.max()}]"
         )
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if (teacher is None) != (alpha == 0):
+        raise ValueError(f"teacher logits must be given exactly when alpha > 0, got alpha={alpha}")
+    if distill_loss not in DISTILL_TABLE:
+        raise ValueError(f"unknown distill_loss {distill_loss!r}, expected one of {DISTILL_LOSSES}")
+    if teacher is not None and teacher.num_classes > model.num_classes:
+        raise ShapeError(f"teacher has {teacher.num_classes} classes but student only {model.num_classes}")
     t_pool = None if teacher is None else teacher.forward_batch(features)[0]
 
     epoch_losses = []
@@ -363,22 +364,19 @@ def train_epochs(
         X, y = features[order], labels[order]
         T = None if t_pool is None else t_pool[order]
         total = 0.0
-        try:
-            # NaN arithmetic in a diverged model is reported once, by the check below
-            with np.errstate(invalid="ignore"):
-                for start in range(0, n, batch_size):
-                    stop = min(start + batch_size, n)
-                    loss = model.backward_and_step(
-                        X[start:stop],
-                        y[start:stop],
-                        t_logits=None if T is None else T[start:stop],
-                        alpha=alpha,
-                        distill_loss=distill_loss,
-                    )
-                    total += loss * (stop - start)
-            if not math.isfinite(total):
-                raise NonFiniteError(f"the epoch loss is {total}")
-        except NonFiniteError as exc:
-            raise DivergenceError(f"training diverged in epoch {epoch} of {epochs}: {exc}") from exc
+        # overflow and NaN arithmetic in a diverged model is reported once, by the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, batch_size):
+                stop = min(start + batch_size, n)
+                loss = model.backward_and_step(
+                    X[start:stop],
+                    y[start:stop],
+                    t_logits=None if T is None else T[start:stop],
+                    alpha=alpha,
+                    distill_loss=distill_loss,
+                )
+                total += loss * (stop - start)
+        if not math.isfinite(total):
+            raise DivergenceError(f"training diverged in epoch {epoch} of {epochs}: the epoch loss is {total}")
         epoch_losses.append(total / n)
     return epoch_losses

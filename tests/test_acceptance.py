@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -139,13 +140,13 @@ def test_c01_gradients_match_finite_differences_for_every_loss():
     ]:
         student = student_base.copy()
         stepped = student.copy()
+        stepped.config = replace(cfg, lr=1.0)
         stepped.backward_and_step(
             X,
             y,
             t_logits=teacher.forward_batch(X)[0] if alpha > 0 else None,
             alpha=alpha,
             distill_loss=distill_loss,
-            lr=1.0,
         )
         analytic = (
             [w - sw for w, sw in zip(student.weights, stepped.weights)]

@@ -1,11 +1,13 @@
 """Tests for the command-line interface: subcommands and exit codes."""
 
 import json
+import warnings
 
 import pytest
 
 from inkrementa import cli
 from inkrementa.data import load_csv
+from inkrementa.harness import ABLATION_PRESETS
 
 
 def write_config(tmp_path, **overrides):
@@ -199,6 +201,16 @@ def test_divergence_names_the_stage_and_the_epoch(tmp_path, capsys):
     assert "runtime error: stage 1 failed: training diverged in epoch 2 of 5" in err
 
 
+def test_a_diverging_run_emits_no_runtime_warning(tmp_path, capsys):
+    config = write_config(tmp_path, model={"hidden_dims": [8], "lr": 1e6, "epochs_per_stage": 5})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path)]) == 4
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert "runtime error: stage 1 failed: training diverged in epoch 2 of 5" in err
+
+
 def test_ablate_writes_reports_and_tables(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "ablation"
@@ -233,6 +245,19 @@ def test_report_merges_runs_into_csv(tmp_path):
     lines = merged.read_text().strip().splitlines()
     assert lines[0] == "run_id,seed,stage,N,accuracy,accn"
     assert len(lines) == 1 + 2 * 3 + 2
+
+
+def test_report_over_ablate_reports_reproduces_its_summary(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "ablation"
+    cli.main(["ablate", "--config", str(config), "--preset", "norms", "--seeds", "2", "--out", str(out)])
+    # run order: each variant of the preset, over seeds 5 and 6
+    runs = [
+        str(out / f"{label}-seed{seed}.json") for label, _ in ABLATION_PRESETS["norms"] for seed in (5, 6)
+    ]
+    merged = tmp_path / "merged.csv"
+    assert cli.main(["report", *runs, "--out", str(merged)]) == 0
+    assert merged.read_bytes() == (out / "summary.csv").read_bytes()
 
 
 def test_report_rejects_non_report_json(tmp_path):

@@ -221,32 +221,72 @@ def test_a_deep_copied_or_pickled_trained_model_steps_like_the_original(duplicat
     assert_same_bits(twin, model)
 
 
-# -- backward_and_step argument contract ----------------------------------------------
+# -- train_epochs setting checks --------------------------------------------------
 
 
-def test_step_rejects_bad_alpha_and_teacher_combinations():
+def test_train_epochs_rejects_bad_alpha_and_teacher_combinations():
     model = make_model()
     X, y = np.ones((2, 6)), np.array([0, 1])
     with pytest.raises(ValueError):
-        model.backward_and_step(X, y, alpha=-0.1)
+        train_epochs(model, X, y, numkit.make_rng(3), alpha=-0.1)
     with pytest.raises(ValueError):
-        model.backward_and_step(X, y, alpha=1.5)
+        train_epochs(model, X, y, numkit.make_rng(3), alpha=1.5)
     with pytest.raises(ValueError):
-        model.backward_and_step(X, y, alpha=0.5)  # teacher missing
+        train_epochs(model, X, y, numkit.make_rng(3), alpha=0.5)  # teacher missing
     with pytest.raises(ValueError):
-        model.backward_and_step(X, y, t_logits=model.snapshot().forward_batch(X)[0], alpha=0.0)
+        train_epochs(model, X, y, numkit.make_rng(3), teacher=model.snapshot(), alpha=0.0)
     with pytest.raises(ValueError):
-        model.backward_and_step(
-            X, y, t_logits=model.snapshot().forward_batch(X)[0], alpha=0.5, distill_loss="huber"
+        train_epochs(
+            model, X, y, numkit.make_rng(3), teacher=model.snapshot(), alpha=0.5, distill_loss="huber"
         )
 
 
-def test_step_rejects_teacher_wider_than_student():
+def test_train_epochs_rejects_a_teacher_wider_than_the_student():
     student = make_model(num_classes=3)
     teacher = make_model(num_classes=5).snapshot()
-    X = np.ones((2, 6))
     with pytest.raises(ShapeError):
-        student.backward_and_step(X, np.array([0, 1]), t_logits=teacher.forward_batch(X)[0], alpha=0.5)
+        train_epochs(
+            student, np.ones((2, 6)), np.array([0, 1]), numkit.make_rng(3), teacher=teacher, alpha=0.5
+        )
+
+
+@pytest.mark.parametrize(
+    "alpha, teacher_classes, distill_loss, error",
+    [
+        pytest.param(1.5, None, "mse", ValueError, id="alpha-out-of-range"),
+        pytest.param(0.5, None, "mse", ValueError, id="teacher-missing"),
+        pytest.param(0.5, 3, "huber", ValueError, id="unknown-loss"),
+        pytest.param(0.5, 5, "mse", ShapeError, id="teacher-wider"),
+    ],
+)
+def test_a_rejected_train_epochs_call_has_no_side_effects(
+    monkeypatch, alpha, teacher_classes, distill_loss, error
+):
+    """A bad setting is rejected before any random draw, teacher pass or step."""
+    model = make_model(num_classes=3)
+    teacher = None if teacher_classes is None else make_model(num_classes=teacher_classes).snapshot()
+    calls = {"teacher": 0, "steps": 0}
+    teacher_forward, step = TeacherSnapshot.forward_batch, IncModel.backward_and_step
+
+    def counted_teacher_forward(self, X):
+        calls["teacher"] += 1
+        return teacher_forward(self, X)
+
+    def counted_step(self, *args, **kwargs):
+        calls["steps"] += 1
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(TeacherSnapshot, "forward_batch", counted_teacher_forward)
+    monkeypatch.setattr(IncModel, "backward_and_step", counted_step)
+    rng = numkit.make_rng(3)
+    rng_state = copy.deepcopy(rng.bit_generator.state)
+    params = [p.tobytes() for p in (*model.weights, *model.biases, model.head)]
+    X, y = numkit.make_rng(2).normal(size=(10, 6)), np.arange(10) % 3
+    with pytest.raises(error):
+        train_epochs(model, X, y, rng, teacher=teacher, alpha=alpha, distill_loss=distill_loss)
+    npt.assert_equal(rng.bit_generator.state, rng_state)
+    assert [p.tobytes() for p in (*model.weights, *model.biases, model.head)] == params
+    assert calls == {"teacher": 0, "steps": 0}
 
 
 def test_step_rejects_out_of_range_labels():
@@ -299,7 +339,7 @@ def test_alpha_zero_matches_plain_ce_sgd():
     X = rng.normal(size=(4, 6))
     y = np.array([0, 1, 2, 1])
     ref_w, ref_b, ref_head = ce_reference_step(model.copy(), X, y, lr=0.1)
-    model.backward_and_step(X, y, alpha=0.0, lr=0.1)
+    model.backward_and_step(X, y, alpha=0.0)
     for w, rw in zip(model.weights, ref_w):
         npt.assert_array_equal(w, rw)
     for b, rb in zip(model.biases, ref_b):
@@ -356,8 +396,9 @@ def relative_gradient_errors(student, teacher, X, y, alpha, distill_loss, h=1e-5
     # recover analytic gradients from one SGD step at a known learning rate
     lr = 1.0
     stepped = student.copy()
+    stepped.config = replace(stepped.config, lr=lr)
     stepped.backward_and_step(X, y, t_logits=teacher.forward_batch(X)[0] if alpha > 0 else None,
-                              alpha=alpha, distill_loss=distill_loss, lr=lr)
+                              alpha=alpha, distill_loss=distill_loss)
     analytic = [(w - sw) / lr for w, sw in zip(student.weights, stepped.weights)]
     analytic += [(b - sb) / lr for b, sb in zip(student.biases, stepped.biases)]
     analytic += [(student.head - stepped.head) / lr]
