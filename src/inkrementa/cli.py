@@ -9,12 +9,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .data import SyntheticSpec, generate_synthetic, read_json, save_csv
+from .data import SyntheticSpec, generate_synthetic, save_csv
 from .errors import ConfigError, MappingError, ParseError, PlanError
 from .harness import (
     ABLATION_PRESETS,
-    STAGE_METRICS,
     load_config,
+    read_run_report,
     run_ablation,
     run_scenario,
     write_comparison_csv,
@@ -109,35 +109,9 @@ def _cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _check_stage_entry(entry, path, where: str, extra_keys: tuple[str, ...] = ()) -> None:
-    if not isinstance(entry, dict):
-        raise ParseError(f"{path}: {where} is not a JSON object; not a run report")
-    missing = [key for key in (*extra_keys, *STAGE_METRICS) if key not in entry]
-    if missing:
-        raise ParseError(f"{path}: {where} is missing {missing}; not a run report")
-    for key in STAGE_METRICS:
-        if not isinstance(entry[key], (int, float)) or isinstance(entry[key], bool):
-            raise ParseError(f"{path}: {where}.{key} is not a number; not a run report")
-
-
-def _read_run_report(path) -> dict:
-    """A run report's JSON, checked for every field the summary CSV reads."""
-    doc = read_json(path, ParseError)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path} is not a JSON object; not a run report")
-    for key in ("run_id", "seed", "stages", "final"):
-        if key not in doc:
-            raise ParseError(f"{path} is missing {key!r}; not a run report")
-    if not isinstance(doc["stages"], list):
-        raise ParseError(f"{path}: stages is not a list; not a run report")
-    for i, stage in enumerate(doc["stages"]):
-        _check_stage_entry(stage, path, f"stages[{i}]", extra_keys=("stage",))
-    _check_stage_entry(doc["final"], path, "final")
-    return doc
-
-
 def _cmd_report(args) -> int:
-    docs = [_read_run_report(path) for path in args.inputs]
+    docs = [read_run_report(path) for path in args.inputs]
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_summary_csv(docs, args.out)
     print(f"wrote {args.out} ({len(docs)} run(s))")
     return EXIT_OK

@@ -35,7 +35,7 @@ from .data import (
     split_stages,
     standardization_stats,
 )
-from .errors import ConfigError, MappingError
+from .errors import ConfigError, MappingError, ParseError
 from .model import IncModel, ModelConfig, train_epochs
 
 TOOL_NAME = "inkrementa"
@@ -93,8 +93,8 @@ def _is_number(value) -> bool:
 
 
 # The JSON kind a field's annotation admits, and the conversion of a value of
-# that kind; nothing is coerced across kinds. Keys are the annotations as
-# written: every config dataclass module postpones annotation evaluation.
+# that kind; nothing is coerced across kinds. Keys are the annotations as written:
+# every config and report dataclass module postpones annotation evaluation.
 _KINDS = {
     "int": ("an integer", _is_int, int),
     "float": ("a number", _is_number, float),
@@ -263,6 +263,29 @@ class RunReport:
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
+
+
+def read_run_report(path) -> dict:
+    """A run report's JSON; each field the summary CSV reads holds its annotation's kind."""
+    doc = read_json(path, ParseError)
+    types = {f.name: f.type for f in (*fields(RunReport), *fields(StageReport))}
+
+    def check(entry, where: str, keys) -> None:
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: {where or 'the report'} must be a JSON object; not a run report")
+        for key in keys:
+            kind, is_kind, _ = _KINDS[types[key]]
+            if key not in entry or not is_kind(entry[key]):
+                name = f"{where}.{key}" if where else key
+                raise ParseError(f"{path}: {name} must be {kind}; not a run report")
+
+    check(doc, "", ("run_id", "seed"))
+    if not isinstance(doc.get("stages"), list):
+        raise ParseError(f"{path}: stages must be a list; not a run report")
+    for i, stage in enumerate(doc["stages"]):
+        check(stage, f"stages[{i}]", ("stage", *STAGE_METRICS))
+    check(doc.get("final"), "final", STAGE_METRICS)
+    return doc
 
 
 def _fixed(value) -> str:

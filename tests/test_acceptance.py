@@ -1,9 +1,11 @@
-"""Acceptance suite: the ten headline guarantees, one test per criterion.
+"""Acceptance suite: the eleven headline guarantees, one test per criterion.
 
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
-criterion. The heavy multi-seed scenario runs are shared through module-scoped
-fixtures; the whole file stays well inside the per-criterion runtime budgets
-asserted below.
+criterion. Criterion 11 runs a harder corpus, where distillation (KD) and
+weight aligning (WA) interact: each alone lowers final accuracy below
+exemplars alone (E); together they raise it. The heavy multi-seed scenario
+runs are shared through module-scoped fixtures; the whole file stays well
+inside the per-criterion runtime budgets asserted below.
 """
 
 import json
@@ -394,3 +396,20 @@ def test_c10_accn_equals_n_times_accuracy_everywhere(component_runs, user_order_
             checked += 1
     assert checked == (18 + 8) * 5
     assert abs(accn(25, 0.5856) - 14.64) <= 1e-12
+
+
+# -- criterion 11: the components matter on a harder corpus --------------------------------------
+
+
+def test_c11_distillation_and_weight_aligning_together_beat_exemplars_alone():
+    """At stddev 5.0 (k = 1) exemplars alone no longer saturate: per seed
+    0/1/2, full CCS final accuracy >= E's + 0.02. Distillation alone and weight
+    aligning alone each fall below E here; only together do they raise it."""
+    doc = default_doc()
+    doc["data"]["synthetic"]["stddev"] = 5.0
+    matrix = [entry for entry in ABLATION_PRESETS["components"] if entry[0] in ("E", "E+KD+WA")]
+    reports, _ = run_ablation(parse_config(doc), matrix, seeds=3)
+    exemplars, full = reports[:3], reports[3:]
+    for e, ccs in zip(exemplars, full):
+        gap = ccs.final.accuracy - e.final.accuracy
+        assert gap >= 0.02, f"{ccs.run_id}: {ccs.final.accuracy:.4f} vs E {e.final.accuracy:.4f}"

@@ -266,20 +266,65 @@ def test_report_rejects_non_report_json(tmp_path):
     assert cli.main(["report", str(stray), "--out", str(tmp_path / "m.csv")]) == 3
 
 
+# the metrics of a well-formed final block
+FINAL = {"n_classes": 2, "accuracy": 1.0, "accn": 2.0}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
         {"run_id": "x", "seed": 1, "stages": [{"stage": 0}], "final": {}},
         {"run_id": "x", "seed": 1, "stages": 5, "final": {}},
         7,
+        {"run_id": {"a": 1}, "seed": 1, "stages": [], "final": FINAL},
+        {"run_id": "x", "seed": [1, 2], "stages": [], "final": FINAL},
+        {"run_id": "x", "seed": 1, "stages": [{**FINAL, "stage": {}}], "final": FINAL},
+        {"run_id": "x", "seed": 1, "stages": [{**FINAL, "stage": 0, "n_classes": 2.5}], "final": FINAL},
+        {"run_id": "x", "seed": 1, "stages": [], "final": {**FINAL, "accuracy": True}},
     ],
-    ids=["stage-without-metrics", "stages-not-a-list", "top-level-number"],
+    ids=[
+        "stage-without-metrics",
+        "stages-not-a-list",
+        "top-level-number",
+        "run-id-an-object",
+        "seed-a-list",
+        "stage-an-object",
+        "n-classes-a-fraction",
+        "final-accuracy-a-boolean",
+    ],
 )
 def test_report_rejects_malformed_report_with_a_data_error(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["report", str(bad), "--out", str(tmp_path / "m.csv")]) == 3
     assert f"data error: {bad}" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_report_names_the_field_of_the_wrong_kind(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    stage = {"stage": 0, "n_classes": 2.5, "accuracy": 1.0, "accn": 2.5}
+    bad.write_text(json.dumps({"run_id": "x", "seed": 1, "stages": [stage], "final": FINAL}))
+    assert cli.main(["report", str(bad), "--out", str(tmp_path / "m.csv")]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {bad}: stages[0].n_classes must be an integer; not a run report\n"
+    )
+
+
+def test_report_creates_the_directory_of_its_out_after_reading_every_input(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "runs"
+    cli.main(["run", "--config", str(config), "--out", str(out)])
+    report = str(out / "run-seed5.json")
+    assert cli.main(["report", report, "--out", str(tmp_path / "flat.csv")]) == 0
+    nested = tmp_path / "new" / "dir" / "m.csv"
+    assert cli.main(["report", report, "--out", str(nested)]) == 0
+    assert nested.read_bytes() == (tmp_path / "flat.csv").read_bytes()
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"hello": 1}))
+    assert cli.main(["report", report, str(bad), "--out", str(tmp_path / "other" / "m.csv")]) == 3
+    assert not (tmp_path / "other").exists()
 
 
 def test_report_with_a_non_finite_metric_exits_3(tmp_path, capsys):
