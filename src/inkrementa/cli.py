@@ -1,6 +1,7 @@
 """Command line entry points: gen-data, run, ablate, report.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
+Exit codes: 0 success, 2 configuration error (or a path argument of the
+wrong kind), 3 data error, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, PlanError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        print(f"argument error: {exc}", file=sys.stderr)  # a path of the wrong kind
         return EXIT_CONFIG
     except (ParseError, FileNotFoundError, MappingError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -57,17 +57,6 @@ class LabeledDataset:
         """Feature rows of one class, in dataset order."""
         return self.features[self.labels == class_id]
 
-    def restrict(self, class_ids) -> "LabeledDataset":
-        """Subset holding only the given classes, preserving row order."""
-        wanted = tuple(int(c) for c in class_ids)
-        mask = np.isin(self.labels, wanted)
-        return LabeledDataset(self.features[mask], self.labels[mask], class_ids=wanted)
-
-    def remap_labels(self, table: dict[int, int]) -> "LabeledDataset":
-        new_labels = np.array([table[int(l)] for l in self.labels], dtype=np.int64)
-        new_ids = tuple(table[c] for c in self.class_ids)
-        return LabeledDataset(self.features, new_labels, class_ids=new_ids)
-
 
 @dataclass(frozen=True)
 class StagePlan:
@@ -84,9 +73,6 @@ class StagePlan:
             dupes = sorted({c for c in flat if flat.count(c) > 1})
             raise PlanError(f"plan groups overlap on class ids {dupes}")
         object.__setattr__(self, "groups", groups)
-
-    def all_classes(self) -> tuple[int, ...]:
-        return tuple(c for g in self.groups for c in g)
 
 
 @dataclass(frozen=True)
@@ -221,28 +207,31 @@ def split_stages(
     test: LabeledDataset,
     plan: StagePlan,
 ) -> list[tuple[LabeledDataset, LabeledDataset]]:
-    """Per-stage (train, test) datasets; class ``plan.all_classes()[i]`` gets label i.
+    """Per-stage (train, test) datasets; the i-th class of the plan gets label i.
 
     Remapped ids are thus contiguous 0..N-1 in stage-visit order (within a
-    group, the plan's listed order). The plan must cover the dataset's class ids
-    exactly, and every stage needs at least one train row and one test row.
+    group, the plan's listed order), and rows keep their dataset order. The
+    plan must cover the dataset's class ids exactly, and every stage needs at
+    least one train row and one test row.
     """
-    plan_classes = plan.all_classes()
+    remap = {c: new for new, c in enumerate(c for g in plan.groups for c in g)}
     universe = set(train.class_ids) | set(test.class_ids)
-    missing = universe - set(plan_classes)
-    extra = set(plan_classes) - universe
-    if missing:
+    if missing := universe - remap.keys():
         raise PlanError(f"plan misses class ids {sorted(missing)}")
-    if extra:
+    if extra := remap.keys() - universe:
         raise PlanError(f"plan lists unknown class ids {sorted(extra)}")
 
-    remap = {orig: new for new, orig in enumerate(plan_classes)}
     stages = []
     for i, group in enumerate(plan.groups):
-        stages.append((train.restrict(group).remap_labels(remap), test.restrict(group).remap_labels(remap)))
-        for pool, dataset in zip(("train", "test"), stages[-1]):
-            if dataset.n_samples == 0:
+        ids = tuple(remap[c] for c in group)
+        pair = []
+        for pool, dataset in (("train", train), ("test", test)):
+            mask = np.isin(dataset.labels, group)
+            if not mask.any():
                 raise PlanError(f"stage {i} (classes {list(group)}) has no {pool} rows")
+            labels = [remap[c] for c in dataset.labels[mask].tolist()]
+            pair.append(LabeledDataset(dataset.features[mask], labels, class_ids=ids))
+        stages.append(tuple(pair))
     return stages
 
 

@@ -324,7 +324,13 @@ def canonical_json(value, indent: int = 0) -> str:
 def _load_pools(config: ScenarioConfig) -> tuple[LabeledDataset, LabeledDataset]:
     if isinstance(config.data, SyntheticSpec):
         return generate_synthetic(config.data, config.seed)
-    return load_csv(config.data.train), load_csv(config.data.test)
+    train, test = load_csv(config.data.train), load_csv(config.data.test)
+    if train.input_dim != test.input_dim:
+        raise ParseError(
+            f"{config.data.train} has {train.input_dim} features per row "
+            f"but {config.data.test} has {test.input_dim}"
+        )
+    return train, test
 
 
 @contextmanager

@@ -51,9 +51,14 @@ def _l1_distill(s_logits: np.ndarray, t_logits: np.ndarray):
 
 
 def _kld_distill(s_logits: np.ndarray, t_logits: np.ndarray):
-    """KL(teacher || student) of the softmaxes at temperature 1."""
-    s_prob = numkit.softmax_rows_unchecked(s_logits)
-    t_prob = numkit.softmax_rows_unchecked(t_logits)
+    """KL(teacher || student) of the softmaxes at temperature 1.
+
+    Unchecked, like the step that calls it: both arguments must be 2-D
+    float64 logits of the same shape with at least one column, as
+    ``backward_and_step`` passes them.
+    """
+    s_prob = numkit.softmax_rows(s_logits)
+    t_prob = numkit.softmax_rows(t_logits)
     q = np.maximum(s_prob, numkit.KL_FLOOR)
     terms = np.where(t_prob > 0, t_prob * np.log(np.maximum(t_prob, numkit.KL_FLOOR) / q), 0.0)
     return np.add.reduce(terms, axis=1), s_prob - t_prob
@@ -160,7 +165,9 @@ class IncModel:
         saved: at these layer widths the threads gain nothing (measured with
         numpy 2.4 and OpenBLAS 0.3.31 on 2 CPUs).
         """
-        X = self._check_input(X)
+        X = numkit.as_matrix(X, "X")
+        if X.shape[1] != self.input_dim:
+            raise ShapeError(f"input has dim {X.shape[1]}, model expects {self.input_dim}")
         n, step = X.shape[0], self.config.batch_size
         logits = np.empty((n, self.num_classes))
         embeddings = np.empty((n, self.embed_dim))
@@ -169,12 +176,6 @@ class IncModel:
             logits[start : start + step] = block_logits
             embeddings[start : start + step] = acts[-1]
         return logits, embeddings
-
-    def _check_input(self, X) -> np.ndarray:
-        X = numkit.as_matrix(X, "X")
-        if X.shape[1] != self.input_dim:
-            raise ShapeError(f"input has dim {X.shape[1]}, model expects {self.input_dim}")
-        return X
 
     def _forward_cached(self, X: np.ndarray):
         """Pass over an already-checked matrix; returns (logits, activations).

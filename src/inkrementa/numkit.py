@@ -40,20 +40,12 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D logits array."""
-    z = as_matrix(logits, "logits")
-    if z.shape[1] == 0:
-        raise EmptyInputError("softmax over zero classes")
-    return softmax_rows_unchecked(z)
-
-
-def softmax_rows_unchecked(z: np.ndarray) -> np.ndarray:
+def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a 2-D float64 array with at least one column.
 
-    The unchecked kernel behind ``softmax_rows``, for callers whose inputs
-    were checked once upstream (the KLD distillation loss inside an SGD
-    step). Non-finite logits give non-finite probabilities.
+    Inputs are not checked: callers check theirs once upstream (the KLD
+    distillation loss inside an SGD step). Non-finite logits give non-finite
+    probabilities.
     """
     shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
     e = np.exp(shifted)

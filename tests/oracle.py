@@ -1,8 +1,7 @@
 """Reference implementations that only the tests use.
 
-The vector helpers are plain, one-sample definitions of the product, softmax,
-losses and norms; the tests compare the batched code in ``inkrementa`` against
-them. ``reference_step`` and ``reference_train_epochs`` are frozen copies of
+The vector helpers are plain, one-sample definitions of the softmax and the
+losses; the tests compare the batched code in ``inkrementa`` against them. ``reference_step`` and ``reference_train_epochs`` are frozen copies of
 the straightforward SGD step and epoch loop (a row softmax plus a separate
 log-sum-exp, an ``if``/``elif`` chain of distillation losses, ``np.mean``, and
 one gather per batch, from a teacher pass made once per pool). The library's
@@ -14,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from inkrementa.errors import EmptyInputError, ShapeError
-from inkrementa.numkit import KL_FLOOR, as_matrix
+from inkrementa.numkit import KL_FLOOR
 
 
 def as_vector(values, name: str = "vector") -> np.ndarray:
@@ -23,15 +22,6 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     if v.ndim != 1:
         raise ShapeError(f"{name} must be 1-D, got {v.ndim}-D")
     return v
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D float64 arrays."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def softmax(logits) -> np.ndarray:
@@ -81,18 +71,6 @@ def kl_divergence(p, q) -> float:
     q = np.maximum(q, KL_FLOOR)
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def vec_norm(v, kind: str = "l2") -> float:
-    """L1 or L2 norm of a nonempty vector."""
-    v = as_vector(v, "v")
-    if v.size == 0:
-        raise EmptyInputError("norm of an empty vector")
-    if kind == "l1":
-        return float(np.sum(np.abs(v)))
-    if kind == "l2":
-        return float(np.sqrt(np.sum(v * v)))
-    raise ValueError(f"unknown norm kind {kind!r} (expected 'l1' or 'l2')")
 
 
 # -- frozen SGD step -------------------------------------------------------------

@@ -115,6 +115,17 @@ def test_malformed_csv_data_exits_3(tmp_path):
     assert cli.main(["run", "--config", str(config)]) == 3
 
 
+def test_train_and_test_csvs_of_different_widths_exit_3(tmp_path, capsys):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text("".join(f"{c}" + ",1.0" * 8 + "\n" for c in (0, 1)))
+    test.write_text("".join(f"{c}" + ",1.0" * 7 + "\n" for c in (0, 1)))
+    config = write_config(tmp_path, data={"csv": {"train": str(train), "test": str(test)}}, stages=[[0], [1]])
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "runs")]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {train} has 8 features per row but {test} has 7\n"
+    )
+
+
 def test_label_too_large_for_int64_exits_3(tmp_path, capsys):
     bad = tmp_path / "big.csv"
     bad.write_text("0,1.0\n99999999999999999999,1.0\n")
@@ -268,6 +279,8 @@ def test_report_rejects_non_report_json(tmp_path):
 
 # the metrics of a well-formed final block
 FINAL = {"n_classes": 2, "accuracy": 1.0, "accn": 2.0}
+# a well-formed one-stage report
+ONE_STAGE_REPORT = {"run_id": "x", "seed": 1, "stages": [{**FINAL, "stage": 0}], "final": FINAL}
 
 
 @pytest.mark.parametrize(
@@ -325,6 +338,42 @@ def test_report_creates_the_directory_of_its_out_after_reading_every_input(tmp_p
     bad.write_text(json.dumps({"hello": 1}))
     assert cli.main(["report", report, str(bad), "--out", str(tmp_path / "other" / "m.csv")]) == 3
     assert not (tmp_path / "other").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,culprit",
+    [
+        (["run", "--config", "{config}", "--out", "{file}"], "{file}"),
+        (["report", "{report}", "--out", "{dir}"], "{dir}"),
+        (["report", "{report}", "--out", "{file}/m.csv"], "{file}"),
+        (["run", "--config", "{dir}"], "{dir}"),
+    ],
+    ids=["run-out-a-file", "report-out-a-directory", "report-out-under-a-file", "config-a-directory"],
+)
+def test_a_path_argument_of_the_wrong_kind_exits_2_naming_it(tmp_path, capsys, argv, culprit):
+    paths = {
+        "config": write_config(tmp_path),
+        "report": tmp_path / "r.json",
+        "file": tmp_path / "a_file",
+        "dir": tmp_path / "a_dir",
+    }
+    paths["report"].write_text(json.dumps(ONE_STAGE_REPORT))
+    paths["file"].write_text("")
+    paths["dir"].mkdir()
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("argument error: ") and repr(culprit.format(**paths)) in err
+
+
+def test_other_os_errors_still_exit_4(tmp_path, monkeypatch, capsys):
+    def disk_full(reports, path):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "write_summary_csv", disk_full)
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(ONE_STAGE_REPORT))
+    assert cli.main(["report", str(report), "--out", str(tmp_path / "m.csv")]) == 4
+    assert "runtime error: [Errno 28] No space left on device" in capsys.readouterr().err
 
 
 def test_report_with_a_non_finite_metric_exits_3(tmp_path, capsys):

@@ -53,20 +53,6 @@ def test_empty_dataset_is_allowed():
     assert ds.n_samples == 0 and ds.class_ids == ()
 
 
-def test_restrict_preserves_row_order():
-    ds = LabeledDataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 2])
-    sub = ds.restrict([0, 2])
-    npt.assert_array_equal(sub.features, [[0.0, 1.0], [4.0, 5.0], [6.0, 7.0]])
-    npt.assert_array_equal(sub.labels, [0, 0, 2])
-
-
-def test_remap_labels_is_exact():
-    ds = LabeledDataset(np.zeros((3, 1)), [7, 3, 7])
-    remapped = ds.remap_labels({7: 0, 3: 1})
-    npt.assert_array_equal(remapped.labels, [0, 1, 0])
-    assert remapped.class_ids == (0, 1)
-
-
 # -- StagePlan --------------------------------------------------------------------
 
 
@@ -82,7 +68,6 @@ def test_plan_rejects_overlap_and_empty_groups():
 def test_plan_accessors():
     plan = StagePlan(((0, 1, 2), (3, 4)))
     assert len(plan.groups) == 2
-    assert plan.all_classes() == (0, 1, 2, 3, 4)
 
 
 # -- synthetic generation ------------------------------------------------------------
@@ -297,6 +282,24 @@ def test_split_remap_is_contiguous_in_stage_visit_order():
     assert [s[0].class_ids for s in stages] == [(0,), (1, 2)]
     npt.assert_array_equal(stages[0][0].labels, [0, 0])
     npt.assert_array_equal(stages[1][0].labels, [2, 1, 2, 1])
+
+
+def test_split_keeps_row_order_within_a_stage():
+    ds = LabeledDataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 2])
+    stages = split_stages(ds, ds, StagePlan(((0, 2), (1,))))
+    for dataset in stages[0]:
+        npt.assert_array_equal(dataset.features, [[0.0, 1.0], [4.0, 5.0], [6.0, 7.0]])
+        npt.assert_array_equal(dataset.labels, [0, 0, 1])
+
+
+def test_split_remap_is_exact():
+    ds = LabeledDataset(np.zeros((3, 1)), [7, 3, 7])
+    stages = split_stages(ds, ds, StagePlan(((7,), (3,))))
+    for (train, test), labels, class_ids in zip(stages, ([0, 0], [1]), ((0,), (1,))):
+        for dataset in (train, test):
+            npt.assert_array_equal(dataset.labels, labels)
+            assert dataset.labels.dtype == np.int64
+            assert dataset.class_ids == class_ids
 
 
 def test_split_concatenation_is_a_permutation_of_source():

@@ -401,11 +401,12 @@ def test_run_scenario_csv_round_trip(tmp_path):
 
 def test_run_scenario_class_with_test_rows_but_no_train_rows(tmp_path, monkeypatch):
     from inkrementa import harness
-    from inkrementa.data import generate_synthetic, save_csv
+    from inkrementa.data import LabeledDataset, generate_synthetic, save_csv
 
     spec = SyntheticSpec(num_classes=6, input_dim=3, train_per_class=15, test_per_class=4)
     train, test = generate_synthetic(spec, 8)
-    save_csv(train.restrict([0, 1, 2, 3, 5]), tmp_path / "train.csv")  # class 4: test rows only
+    keep = train.labels != 4  # class 4: test rows only
+    save_csv(LabeledDataset(train.features[keep], train.labels[keep]), tmp_path / "train.csv")
     save_csv(test, tmp_path / "test.csv")
     doc = {
         "seed": 8,

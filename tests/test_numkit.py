@@ -1,4 +1,4 @@
-"""Tests for the numeric primitives and their oracles: matmul, softmax, losses, norms, rng."""
+"""Tests for the numeric primitives and their oracles: validation, softmax, losses, rng."""
 
 import math
 
@@ -16,36 +16,7 @@ finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 vectors = st.lists(finite_floats, min_size=1, max_size=16)
 
 
-# -- matmul -------------------------------------------------------------------
-
-
-def test_matmul_identity():
-    out = oracle.matmul([[1, 0], [0, 1]], [[3], [4]])
-    npt.assert_array_equal(out, [[3], [4]])
-
-
-def test_matmul_hand_case():
-    out = oracle.matmul([[1, 2]], [[3], [4]])
-    npt.assert_array_equal(out, [[11]])
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = numkit.make_rng(11)
-    a = rng.normal(size=(8, 8))
-    b = rng.normal(size=(8, 8))
-    expected = np.zeros((8, 8))
-    for i in range(8):
-        for j in range(8):
-            for k in range(8):
-                expected[i, j] += a[i, k] * b[k, j]
-    out = oracle.matmul(a, b)
-    assert np.max(np.abs(out - expected)) <= 1e-12
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError) as err:
-        oracle.matmul(np.ones((2, 3)), np.ones((2, 3)))
-    assert "(2, 3)" in str(err.value)
+# -- matrix validation ---------------------------------------------------------
 
 
 def test_matrix_rejects_non_finite():
@@ -221,28 +192,6 @@ def test_kl_non_negative_for_valid_distributions(raw_p, data):
     p = np.array(raw_p) / np.sum(raw_p)
     q = np.array(raw_q) / np.sum(raw_q)
     assert oracle.kl_divergence(p, q) >= -1e-12
-
-
-# -- norms ----------------------------------------------------------------------
-
-
-def test_vec_norm_hand_cases():
-    assert oracle.vec_norm([3.0, 4.0], "l2") == 5.0
-    assert oracle.vec_norm([3.0, -4.0], "l1") == 7.0
-
-
-def test_vec_norm_matches_direct_oracle():
-    rng = numkit.make_rng(9)
-    v = rng.normal(size=20)
-    assert abs(oracle.vec_norm(v, "l2") - math.sqrt(sum(x * x for x in v))) <= 1e-12
-    assert abs(oracle.vec_norm(v, "l1") - sum(abs(x) for x in v)) <= 1e-12
-
-
-def test_vec_norm_empty_and_unknown_kind():
-    with pytest.raises(EmptyInputError):
-        oracle.vec_norm([])
-    with pytest.raises(ValueError):
-        oracle.vec_norm([1.0], "l3")
 
 
 # -- seeded rng ------------------------------------------------------------------
