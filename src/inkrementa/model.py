@@ -8,9 +8,15 @@ over numpy; the gradient test suite checks every loss configuration against
 central finite differences. ``train_epochs`` checks a training call once, and
 its SGD steps (``IncModel.backward_and_step``) check nothing.
 
+A step computes the gradient and the update, and no loss value: it records
+the batch's pre-step logits and the row max and row sum of their softmax.
+``row_losses`` turns such records into per-row losses, and ``train_epochs``
+calls it once per epoch, over all of the epoch's rows.
+
 The distillation losses are one table, ``DISTILL_TABLE``: ``name ->
-fn(s_logits, t_logits)``, returning the per-sample distance and its gradient
-with respect to the student logits. ``DISTILL_LOSSES`` lists its names.
+(distance, gradient)``, each a function of ``(s_logits, t_logits)``. The step
+uses only the gradient with respect to the student logits, and the epoch's
+loss only the per-sample distance. ``DISTILL_LOSSES`` lists its names.
 
 Weight convention: layer matrices have shape (out_dim, in_dim), so a batch
 ``X`` of shape (n, in_dim) maps to ``X @ W.T + b``.
@@ -36,35 +42,63 @@ from . import numkit
 from .errors import ConfigError, DivergenceError, ShapeError
 
 
-def _mse_distill(s_logits: np.ndarray, t_logits: np.ndarray):
-    """Mean squared logit difference over the teacher's classes."""
-    u = t_logits.shape[1]
-    diff = s_logits - t_logits
-    return np.add.reduce(diff**2, axis=1) / u, 2.0 * diff / u
+def _mse_distance(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
+    """Mean squared logit difference over the teacher's classes; overwrites ``t_logits``."""
+    diff = np.subtract(s_logits, t_logits, out=t_logits)
+    diff *= diff
+    return np.add.reduce(diff, axis=1) / diff.shape[1]
 
 
-def _l1_distill(s_logits: np.ndarray, t_logits: np.ndarray):
-    """Mean absolute logit difference over the teacher's classes."""
-    u = t_logits.shape[1]
-    diff = s_logits - t_logits
-    return np.add.reduce(np.abs(diff), axis=1) / u, np.sign(diff) / u
+def _mse_gradient(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
+    d = s_logits - t_logits
+    d *= 2.0
+    d /= d.shape[1]
+    return d
 
 
-def _kld_distill(s_logits: np.ndarray, t_logits: np.ndarray):
-    """KL(teacher || student) of the softmaxes at temperature 1.
-
-    Unchecked, like the step that calls it: both arguments must be 2-D
-    float64 logits of the same shape with at least one column, as
-    ``backward_and_step`` passes them.
-    """
-    s_prob = numkit.softmax_rows(s_logits)
-    t_prob = numkit.softmax_rows(t_logits)
-    q = np.maximum(s_prob, numkit.KL_FLOOR)
-    terms = np.where(t_prob > 0, t_prob * np.log(np.maximum(t_prob, numkit.KL_FLOOR) / q), 0.0)
-    return np.add.reduce(terms, axis=1), s_prob - t_prob
+def _l1_distance(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
+    """Mean absolute logit difference over the teacher's classes; overwrites ``t_logits``."""
+    diff = np.subtract(s_logits, t_logits, out=t_logits)
+    return np.add.reduce(np.abs(diff, out=diff), axis=1) / diff.shape[1]
 
 
-DISTILL_TABLE = {"mse": _mse_distill, "kld": _kld_distill, "l1": _l1_distill}
+def _l1_gradient(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
+    d = s_logits - t_logits
+    np.sign(d, out=d)
+    d /= d.shape[1]
+    return d
+
+
+def _kld_distance(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
+    """KL(teacher || student) of the softmaxes at temperature 1; overwrites ``t_logits``."""
+    q = numkit.softmax_rows(s_logits)
+    np.maximum(q, numkit.KL_FLOOR, out=q)
+    t_prob = numkit.softmax_rows(t_logits, out=t_logits)
+    # t_prob * log(max(t_prob, floor) / q) where t_prob > 0, else 0, in place
+    terms = np.maximum(t_prob, numkit.KL_FLOOR)
+    terms /= q
+    np.log(terms, out=terms)
+    terms *= t_prob
+    np.copyto(terms, 0.0, where=~(t_prob > 0))
+    return np.add.reduce(terms, axis=1)
+
+
+def _kld_gradient(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
+    d = numkit.softmax_rows(s_logits)
+    d -= numkit.softmax_rows(t_logits)
+    return d
+
+
+# name -> (distance, gradient). Both take the student's logits restricted to
+# the teacher's u classes and the teacher's logits, 2-D float64 arrays of the
+# same shape with at least one column, unchecked as the step passes them. The
+# distance gives one value per row and may overwrite the teacher's logits;
+# the gradient is the distance's with respect to the student's logits.
+DISTILL_TABLE = {
+    "mse": (_mse_distance, _mse_gradient),
+    "kld": (_kld_distance, _kld_gradient),
+    "l1": (_l1_distance, _l1_gradient),
+}
 DISTILL_LOSSES = tuple(DISTILL_TABLE)
 
 
@@ -170,28 +204,32 @@ class IncModel:
             raise ShapeError(f"input has dim {X.shape[1]}, model expects {self.input_dim}")
         n, step = X.shape[0], self.config.batch_size
         logits = np.empty((n, self.num_classes))
-        embeddings = np.empty((n, self.embed_dim))
+        # without hidden layers the embedding is the input itself
+        embeddings = np.empty((n, self.embed_dim)) if self.weights else X.copy()
         for start in range(0, n, step):
-            block_logits, acts = self._forward_cached(X[start : start + step])
-            logits[start : start + step] = block_logits
-            embeddings[start : start + step] = acts[-1]
+            block = slice(start, start + step)
+            self._forward_cached(X[block], logits[block], embeddings[block])
         return logits, embeddings
 
-    def _forward_cached(self, X: np.ndarray):
-        """Pass over an already-checked matrix; returns (logits, activations).
+    def _forward_cached(self, X: np.ndarray, logits: np.ndarray, embeddings: np.ndarray | None = None):
+        """Pass over an already-checked matrix; returns the activations.
 
-        The bias and the ReLU are applied in place. A unit's activation is
-        positive exactly when its pre-activation is, so backprop takes its
-        ReLU mask from the activations.
+        The logits are written into ``logits``, and the last hidden layer's
+        activations into ``embeddings`` when it is given. The bias and the
+        ReLU are applied in place. A unit's activation is positive exactly
+        when its pre-activation is, so backprop takes its ReLU mask from the
+        activations.
         """
         acts = [X]
         a = X
-        for w, b in zip(self.weights, self.biases):
-            a = np.dot(a, w.T)
+        last = len(self.weights) - 1
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            a = np.dot(a, w.T, out=embeddings if k == last else None)
             a += b
             np.maximum(a, 0.0, out=a)
             acts.append(a)
-        return np.dot(a, self.head.T), acts
+        np.dot(a, self.head.T, out=logits)
+        return acts
 
     # -- structural updates --------------------------------------------------
 
@@ -243,8 +281,9 @@ class IncModel:
         t_logits: np.ndarray | None = None,
         alpha: float = 0.0,
         distill_loss: str = "mse",
-    ) -> float:
-        """One SGD step on the mean batch loss; returns the pre-step loss.
+        out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One SGD step on the mean batch loss; returns the pre-step record.
 
         Loss per sample is (1 - alpha) * cross-entropy against the label plus
         alpha * distillation distance between the student's logits restricted
@@ -252,29 +291,33 @@ class IncModel:
         logits ``t_logits`` for the same rows (MSE/L1 on logits, KLD on their
         softmax at temperature 1). An empty batch raises ``EmptyInputError``.
 
+        The step computes the gradient and the update, and no loss value. The
+        record it returns, ``(logits, row_max, row_sum)``, is what the loss
+        needs: the batch's pre-step logits, and the row max and row sum of
+        their softmax. ``row_losses`` turns it into per-row losses. The step
+        writes the record into ``out``, three arrays of shapes
+        ``(n, num_classes)``, ``(n,)`` and ``(n,)``, or into new ones.
+
         The step checks nothing: ``X`` must be a 2-D, finite, C-order float64
         array with ``input_dim`` columns, ``y`` labels in ``[0, num_classes)``,
         ``alpha`` in [0, 1], ``t_logits`` given exactly when ``alpha > 0`` with
         at most ``num_classes`` columns, and ``distill_loss`` a key of
         ``DISTILL_TABLE``; ``train_epochs`` checks that once per call. The
-        learning rate is ``config.lr``. A diverged model shows up as a
-        non-finite returned loss.
+        learning rate is ``config.lr``.
         """
         params, grads = self._packed()
-        logits, acts = self._forward_cached(X)
-        ce, grad = numkit.softmax_cross_entropy(logits, y)
-        n = logits.shape[0]
+        n = X.shape[0]
+        if out is None:
+            out = (np.empty((n, self.num_classes)), np.empty(n), np.empty(n))
+        logits, row_max, row_sum = out
+        acts = self._forward_cached(X, logits)
+        grad = numkit.softmax_ce_grad(logits, y, row_max, row_sum)
         grad *= (1.0 - alpha) / n
-
-        # mean losses are written sum / count: the same reduction and division
-        # as np.mean, without its per-call wrapper
-        if alpha == 0:
-            loss = np.add.reduce(ce) / n
-        else:
+        if alpha > 0:
             u = t_logits.shape[1]
-            distill, d_s = DISTILL_TABLE[distill_loss](logits[:, :u], t_logits)
-            grad[:, :u] += (alpha / n) * d_s
-            loss = np.add.reduce((1.0 - alpha) * ce + alpha * distill) / n
+            d_s = DISTILL_TABLE[distill_loss][1](logits[:, :u], t_logits)
+            d_s *= alpha / n
+            grad[:, :u] += d_s
 
         # backprop through the head and hidden stack from the pre-step
         # parameters, each gradient written into its view of `grads`
@@ -283,15 +326,40 @@ class IncModel:
         np.dot(grad.T, acts[-1], out=d_params[-1])
         d_act = np.dot(grad, self.head)
         for k in range(layers - 1, -1, -1):
-            d_pre = d_act * (acts[k + 1] > 0)
-            np.dot(d_pre.T, acts[k], out=d_params[k])
-            np.add.reduce(d_pre, axis=0, out=d_params[layers + k])
+            # the ReLU mask: activations are >= 0, so their sign is exactly 1.0 or 0.0
+            d_act *= np.sign(acts[k + 1])
+            np.dot(d_act.T, acts[k], out=d_params[k])
+            np.add.reduce(d_act, axis=0, out=d_params[layers + k])
             if k > 0:  # the input layer's gradient w.r.t. X is never used
-                d_act = np.dot(d_pre, self.weights[k])
+                d_act = np.dot(d_act, self.weights[k])
         # p - lr * d for every parameter, as two whole-vector operations
         grads *= self.config.lr
         params -= grads
-        return float(loss)
+        return out
+
+
+def row_losses(
+    record: tuple[np.ndarray, np.ndarray, np.ndarray],
+    y: np.ndarray,
+    t_logits: np.ndarray | None = None,
+    alpha: float = 0.0,
+    distill_loss: str = "mse",
+) -> np.ndarray:
+    """Per-row pre-step losses from a step's record, the labels and the teacher logits.
+
+    ``record`` is ``(logits, row_max, row_sum)`` as ``backward_and_step``
+    returns it. The loss is the step's: cross-entropy
+    ``log(row_sum) - (logit_y - row_max)``, mixed as ``(1 - alpha) * ce +
+    alpha * d`` with the distillation distance ``d`` between ``logits[:, :u]``
+    and the teacher's ``u``-column ``t_logits`` when ``alpha > 0``. The
+    distance may overwrite ``t_logits``. Unchecked, like the step.
+    """
+    logits, row_max, row_sum = record
+    ce = numkit.cross_entropy_rows(logits, y, row_max, row_sum)
+    if alpha == 0:
+        return ce
+    distance = DISTILL_TABLE[distill_loss][0](logits[:, : t_logits.shape[1]], t_logits)
+    return (1.0 - alpha) * ce + alpha * distance
 
 
 class TeacherSnapshot:
@@ -320,7 +388,7 @@ def train_epochs(
     alpha: float = 0.0,
     distill_loss: str = "mse",
 ) -> list[float]:
-    """Shuffled mini-batch SGD; returns per-epoch mean losses.
+    """Shuffled mini-batch SGD; returns per-epoch mean pre-step losses.
 
     Epoch count, batch size and learning rate are the model's ``config``.
     The only randomness is one ``rng.permutation`` per epoch, which keeps the
@@ -331,8 +399,12 @@ def train_epochs(
     random draw and the teacher pass, and the steps trust them. The frozen
     teacher's logits never change within a call, so the teacher runs once
     over the pool and each epoch gathers its logits with the same ``order``
-    as the rows. A non-finite loss on the checked pool means the model itself
-    diverged, which raises ``DivergenceError`` naming the epoch.
+    as the rows. The steps write their records into one set of arrays for
+    the whole pool, and after the epoch's last step one ``row_losses`` call
+    turns them into per-row losses; each batch's mean loss, weighted by its
+    rows and summed in batch order, gives the epoch's mean. A non-finite
+    loss on the checked pool means the model itself diverged, which raises
+    ``DivergenceError`` naming the epoch.
     """
     cfg = model.config
     epochs, batch_size = cfg.epochs_per_stage, cfg.batch_size
@@ -359,24 +431,34 @@ def train_epochs(
         raise ShapeError(f"teacher has {teacher.num_classes} classes but student only {model.num_classes}")
     t_pool = None if teacher is None else teacher.forward_batch(features)[0]
 
+    # one record per call: each step writes its rows, then the epoch's loss reads them all
+    record = (np.empty((n, model.num_classes)), np.empty(n), np.empty(n))
+    full = n - n % batch_size  # rows in full batches
     epoch_losses = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         X, y = features[order], labels[order]
         T = None if t_pool is None else t_pool[order]
-        total = 0.0
         # overflow and NaN arithmetic in a diverged model is reported once, by the check below
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch_size):
-                stop = min(start + batch_size, n)
-                loss = model.backward_and_step(
-                    X[start:stop],
-                    y[start:stop],
-                    t_logits=None if T is None else T[start:stop],
+                rows = slice(start, start + batch_size)
+                model.backward_and_step(
+                    X[rows],
+                    y[rows],
+                    t_logits=None if T is None else T[rows],
                     alpha=alpha,
                     distill_loss=distill_loss,
+                    out=(record[0][rows], record[1][rows], record[2][rows]),
                 )
-                total += loss * (stop - start)
+            losses = row_losses(record, y, T, alpha, distill_loss)
+            # each batch's mean weighted by its rows and summed in batch order:
+            # bit for bit the sum of per-step mean losses
+            total = 0.0
+            for mean in (np.add.reduce(losses[:full].reshape(-1, batch_size), axis=1) / batch_size).tolist():
+                total += mean * batch_size
+            if full < n:
+                total += float(np.add.reduce(losses[full:]) / (n - full)) * (n - full)
         if not math.isfinite(total):
             raise DivergenceError(f"training diverged in epoch {epoch} of {epochs}: the epoch loss is {total}")
         epoch_losses.append(total / n)

@@ -40,45 +40,62 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def softmax_rows(z: np.ndarray) -> np.ndarray:
+def softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax of a 2-D float64 array with at least one column.
 
+    The result is written into ``out`` (which may be ``z`` itself) or into a
+    new array.
+
     Inputs are not checked: callers check theirs once upstream (the KLD
-    distillation loss inside an SGD step). Non-finite logits give non-finite
-    probabilities.
+    distillation gradient of an SGD step and distance of an epoch).
+    Non-finite logits give non-finite probabilities.
     """
-    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    # one array, exponentiated and normalised in place: on a pool-sized
+    # input each further temporary costs more than the arithmetic
+    e = np.subtract(z, np.maximum.reduce(z, axis=1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row cross-entropy of 2-D ``logits`` against integer ``labels``.
+def softmax_ce_grad(logits: np.ndarray, labels, row_max: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
+    """Gradient of the per-row cross-entropy with respect to 2-D ``logits``.
 
-    Returns ``(ce, grad)``: ``ce[i]`` is the negative log softmax probability
-    of ``labels[i]``, and ``grad`` is the gradient of ``ce`` with respect to
-    the logits, ``softmax(logits) - onehot(labels)``. One row max, one ``exp``
-    and one row sum serve both; the gradient is written over the
-    probabilities in place.
+    Returns ``softmax(logits) - onehot(labels)`` in a new array. Along the
+    way it writes each row's max into ``row_max`` and the row sum of
+    ``exp(logits - row_max)`` into ``row_sum`` (1-D, one entry per row):
+    with the logits, that is all ``cross_entropy_rows`` needs.
 
     This is the SGD step's kernel, so it checks only what is free: the batch
     is not empty and there is one label per row. ``logits`` must be a 2-D
     float64 array and ``labels`` must lie in ``[0, num_classes)``; the caller
     checks its inputs once per pool (``model.train_epochs``). Non-finite
-    logits give a non-finite ``ce``, and a negative label would index from
+    logits give a non-finite gradient, and a negative label would index from
     the end of its row.
     """
     n, num_classes = logits.shape
     if n == 0 or num_classes == 0:
         raise EmptyInputError(f"cross-entropy of an empty batch: logits have shape {logits.shape}")
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (n,):
-        raise ShapeError(f"labels have shape {y.shape}, expected ({n},)")
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    grad = np.exp(shifted)
-    total = np.add.reduce(grad, axis=1, keepdims=True)
-    rows = np.arange(n)
-    ce = np.log(total[:, 0]) - shifted[rows, y]
-    grad /= total
-    grad[rows, y] -= 1.0
-    return ce, grad
+    if np.shape(labels) != (n,):
+        raise ShapeError(f"labels have shape {np.shape(labels)}, expected ({n},)")
+    np.maximum.reduce(logits, axis=1, out=row_max)
+    grad = logits - row_max[:, None]
+    np.exp(grad, out=grad)
+    np.add.reduce(grad, axis=1, out=row_sum)
+    grad /= row_sum[:, None]
+    # one (row, label) pair per row, bounds-checked like the 2-D index
+    # ``grad[rows, labels] -= 1.0`` but without its gather and scatter
+    np.subtract.at(grad, (np.arange(n), labels), 1.0)
+    return grad
+
+
+def cross_entropy_rows(logits: np.ndarray, labels, row_max: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy, ``log(row_sum) - (logits[i, labels[i]] - row_max)``.
+
+    ``row_max`` and ``row_sum`` are the row statistics ``softmax_ce_grad``
+    wrote for the same logits, so the loss costs one ``log`` and one gather.
+    Unchecked, like that kernel.
+    """
+    ce = np.log(row_sum)
+    ce -= logits[np.arange(logits.shape[0]), labels] - row_max
+    return ce

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import oracle
+from inkrementa import model as model_module
 from inkrementa import numkit
 from inkrementa.continual import weight_align
 from inkrementa.errors import ConfigError, DivergenceError, EmptyInputError, NonFiniteError, ShapeError
@@ -18,6 +19,7 @@ from inkrementa.model import (
     IncModel,
     ModelConfig,
     TeacherSnapshot,
+    row_losses,
     train_epochs,
 )
 
@@ -30,6 +32,15 @@ def small_config(**overrides):
 
 def make_model(num_classes=3, seed=0, **overrides):
     return IncModel.init(small_config(**overrides), 6, num_classes, numkit.make_rng(seed))
+
+
+def step_loss(model, X, y, t_logits=None, alpha=0.0, distill_loss="mse"):
+    """One SGD step; returns its pre-step mean loss, from the step's record."""
+    record = model.backward_and_step(X, y, t_logits=t_logits, alpha=alpha, distill_loss=distill_loss)
+    # the distance may overwrite the teacher logits it is given
+    t_copy = None if t_logits is None else t_logits.copy()
+    losses = row_losses(record, y, t_copy, alpha, distill_loss)
+    return float(np.add.reduce(losses) / losses.shape[0])
 
 
 # -- config validation ----------------------------------------------------------
@@ -293,6 +304,9 @@ def test_step_rejects_out_of_range_labels():
     model = make_model(num_classes=3)
     with pytest.raises(IndexError):
         model.backward_and_step(np.ones((2, 6)), np.array([0, 3]))
+    # a flat index would send this label into the next row instead of raising
+    with pytest.raises(IndexError):
+        model.backward_and_step(np.ones((2, 6)), np.array([3, 0]))
 
 
 def test_step_rejects_an_empty_batch():
@@ -352,9 +366,9 @@ def test_identical_teacher_contributes_zero_distillation():
     rng = numkit.make_rng(9)
     X = rng.normal(size=(4, 6))
     y = np.array([0, 1, 2, 0])
-    ce_only = model.copy().backward_and_step(X, y, alpha=0.0)
+    ce_only = step_loss(model.copy(), X, y, alpha=0.0)
     t_logits = model.snapshot().forward_batch(X)[0]
-    loss = model.copy().backward_and_step(X, y, t_logits=t_logits, alpha=0.4, distill_loss="mse")
+    loss = step_loss(model.copy(), X, y, t_logits=t_logits, alpha=0.4, distill_loss="mse")
     assert loss == pytest.approx(0.6 * ce_only, rel=1e-12)
 
 
@@ -363,12 +377,37 @@ def test_returned_loss_is_pre_step():
     X = numkit.make_rng(1).normal(size=(4, 6))
     y = np.array([0, 1, 2, 1])
     probe = model.copy()
-    first = probe.backward_and_step(X, y)
+    first = step_loss(probe, X, y)
     # the same batch re-evaluated on the stepped model must beat the reported
     # pre-step loss on this convex-enough step
-    second = probe.backward_and_step(X, y)
+    second = step_loss(probe, X, y)
     assert first == pytest.approx(np.mean([oracle.cross_entropy(l, int(t)) for l, t in zip(model.forward_batch(X)[0], y)]))
     assert second < first
+
+
+@pytest.mark.parametrize("rows, alpha", [(32, 0.0), (13, 0.05)], ids=["full-ce", "ragged-distilling"])
+def test_step_records_the_pre_step_logits_and_their_softmax_sums(rows, alpha):
+    model, teacher = reference_pair(seed=44)
+    X = numkit.make_rng(45).normal(size=(rows, 8)) * 2.0
+    y = numkit.make_rng(46).integers(0, 15, size=rows)
+    t_logits = teacher.forward_batch(X)[0] if alpha > 0 else None
+    before = model.forward_batch(X)[0]
+    shifted_sum = np.add.reduce(np.exp(before - before.max(axis=1, keepdims=True)), axis=1)
+
+    t_before = None if t_logits is None else t_logits.copy()
+
+    fresh = model.copy().backward_and_step(X, y, t_logits=t_logits, alpha=alpha, distill_loss="kld")
+    out = (np.full((rows, 15), np.nan), np.full(rows, np.nan), np.full(rows, np.nan))
+    written = model.backward_and_step(X, y, t_logits=t_logits, alpha=alpha, distill_loss="kld", out=out)
+
+    assert all(a is b for a, b in zip(written, out))
+    # the epoch's loss reads the teacher logits after its steps
+    assert np.array_equal(t_logits, t_before)
+    for logits, row_max, row_sum in (fresh, written):
+        assert np.array_equal(logits, before)
+        assert np.array_equal(row_max, before.max(axis=1))
+        assert np.array_equal(row_sum, shifted_sum)
+    assert not np.array_equal(model.forward_batch(X)[0], before)  # the step did step
 
 
 def relative_gradient_errors(student, teacher, X, y, alpha, distill_loss, h=1e-5):
@@ -545,10 +584,10 @@ def test_a_diverging_kld_run_names_the_epoch():
 def test_distilling_training_runs_the_teacher_once_and_revalidates_no_batch(monkeypatch, distill_loss):
     """Per-pool work happens once per ``train_epochs`` call, not once per step."""
     model, teacher = reference_pair(seed=60)  # epochs 3, batch 32
-    calls = {"teacher": 0, "steps": 0, "as_matrix_in_step": 0}
+    calls = {"teacher": 0, "steps": 0, "as_matrix_in_step": 0, "epoch_losses": 0}
     in_step = [False]
     teacher_forward, as_matrix = TeacherSnapshot.forward_batch, numkit.as_matrix
-    step = IncModel.backward_and_step
+    step, losses_of = IncModel.backward_and_step, model_module.row_losses
 
     def counted_teacher_forward(self, X):
         calls["teacher"] += 1
@@ -566,13 +605,19 @@ def test_distilling_training_runs_the_teacher_once_and_revalidates_no_batch(monk
         finally:
             in_step[0] = False
 
+    def counted_losses(*args, **kwargs):
+        calls["epoch_losses"] += 1
+        return losses_of(*args, **kwargs)
+
     monkeypatch.setattr(TeacherSnapshot, "forward_batch", counted_teacher_forward)
     monkeypatch.setattr(numkit, "as_matrix", watched_as_matrix)
     monkeypatch.setattr(IncModel, "backward_and_step", watched_step)
+    monkeypatch.setattr(model_module, "row_losses", counted_losses)
     data = numkit.make_rng(61)
     X, y = data.normal(size=(77, 8)), data.integers(0, 15, size=77)
     train_epochs(model, X, y, numkit.make_rng(62), teacher=teacher, alpha=0.05, distill_loss=distill_loss)
-    assert calls == {"teacher": 1, "steps": 3 * 3, "as_matrix_in_step": 0}
+    # the loss is computed once per epoch, over all of its rows
+    assert calls == {"teacher": 1, "steps": 3 * 3, "as_matrix_in_step": 0, "epoch_losses": 3}
 
 
 # -- bit-identity with the frozen reference step -------------------------------------
@@ -605,7 +650,9 @@ def test_distill_table_is_bit_identical_to_the_reference_chain(distill_loss):
         logits = rng.normal(size=(rows, 15)) * 3.0
         t_logits = rng.normal(size=(rows, 10)) * 3.0
         t_logits[0, 1] = -1000.0  # a teacher probability that underflows to 0
-        value, grad = DISTILL_TABLE[distill_loss](logits[:, :10], t_logits)
+        distance, gradient = DISTILL_TABLE[distill_loss]
+        grad = gradient(logits[:, :10], t_logits)
+        value = distance(logits[:, :10], t_logits.copy())  # the distance may overwrite its teacher logits
         ref_value, ref_grad = oracle.reference_distill(distill_loss, logits[:, :10], t_logits)
         assert np.array_equal(value, ref_value)
         assert np.array_equal(grad, ref_grad)
@@ -658,21 +705,34 @@ def test_step_is_bit_identical_to_the_reference_step(distill_loss, alpha, rows, 
         X = rng.normal(size=(rows, 8)) * 2.0
         y = rng.integers(0, 15, size=rows)
         t_logits = None if teacher is None else teacher.forward_batch(X)[0]
-        loss = model.backward_and_step(X, y, t_logits=t_logits, alpha=alpha, distill_loss=distill_loss)
+        loss = step_loss(model, X, y, t_logits=t_logits, alpha=alpha, distill_loss=distill_loss)
         ref_loss = oracle.reference_step(ref, X, y, t_logits=t_logits, alpha=alpha, distill_loss=distill_loss)
         assert np.array_equal(loss, ref_loss)
         assert_same_bits(model, ref)
 
 
-@pytest.mark.parametrize("distill_loss, alpha", [("mse", 0.0), ("mse", 0.05), ("l1", 0.05), ("kld", 0.05)])
-def test_train_epochs_is_bit_identical_to_a_per_batch_gather_loop(distill_loss, alpha):
+# Pools of 77 rows (2 full batches of 32 and one of 13) keep the case ids
+# distill_loss-alpha; the others append their row count: no full batch (1, 5),
+# no partial one (32), and a one-row tail (33).
+POOL_CASES = [
+    pytest.param(
+        distill_loss, alpha, rows, id="-".join([distill_loss, str(alpha)] + ([] if rows == 77 else [f"{rows}rows"]))
+    )
+    for rows in [77, 1, 5, 32, 33]
+    for distill_loss in DISTILL_LOSSES
+    for alpha in [0.0, 0.05]
+]
+
+
+@pytest.mark.parametrize("distill_loss, alpha, rows", POOL_CASES)
+def test_train_epochs_is_bit_identical_to_a_per_batch_gather_loop(distill_loss, alpha, rows):
     model, teacher = reference_pair(seed=50)
     model.config = replace(model.config, lr=0.05)  # epochs 3, batch 32
     ref = model.copy()
     teacher = teacher if alpha > 0 else None
     data = numkit.make_rng(51)
-    X = data.normal(size=(77, 8))  # 2 full batches of 32 and one of 13
-    y = data.integers(0, 15, size=77)
+    X = data.normal(size=(rows, 8))
+    y = data.integers(0, 15, size=rows)
     loss_settings = dict(teacher=teacher, alpha=alpha, distill_loss=distill_loss)
     losses = train_epochs(model, X, y, numkit.make_rng(52), **loss_settings)
     ref_losses = oracle.reference_train_epochs(

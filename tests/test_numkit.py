@@ -103,8 +103,12 @@ def test_softmax_cross_entropy_matches_per_row_oracle():
     z = rng.normal(size=(7, 5)) * 30
     y = rng.integers(0, 5, size=7)
     keep = z.copy()
-    ce, grad = numkit.softmax_cross_entropy(z, y)
+    row_max, row_sum = np.empty(7), np.empty(7)
+    grad = numkit.softmax_ce_grad(z, y, row_max, row_sum)
+    ce = numkit.cross_entropy_rows(z, y, row_max, row_sum)
     npt.assert_array_equal(z, keep)
+    npt.assert_array_equal(row_max, z.max(axis=1))
+    npt.assert_array_equal(row_sum, np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1))
     for i in range(7):
         assert abs(ce[i] - oracle.cross_entropy(z[i], int(y[i]))) <= 1e-12
     onehot = np.zeros_like(z)
@@ -113,14 +117,18 @@ def test_softmax_cross_entropy_matches_per_row_oracle():
 
 
 def test_softmax_cross_entropy_rejects_bad_inputs():
+    def grad(logits, labels):
+        n = logits.shape[0]
+        return numkit.softmax_ce_grad(logits, labels, np.empty(n), np.empty(n))
+
     with pytest.raises(EmptyInputError):
-        numkit.softmax_cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+        grad(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
     with pytest.raises(EmptyInputError):
-        numkit.softmax_cross_entropy(np.zeros((2, 0)), [0, 0])
+        grad(np.zeros((2, 0)), [0, 0])
     with pytest.raises(ShapeError):
-        numkit.softmax_cross_entropy(np.zeros((2, 3)), [0, 1, 2])
+        grad(np.zeros((2, 3)), [0, 1, 2])
     with pytest.raises(IndexError):
-        numkit.softmax_cross_entropy(np.zeros((2, 3)), [0, 3])
+        grad(np.zeros((2, 3)), [0, 3])
     # a negative label and a non-finite logit are the caller's to rule out:
     # model.train_epochs checks the pool once (see tests/test_model.py)
 
