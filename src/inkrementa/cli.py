@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .data import SyntheticSpec, generate_synthetic, save_csv
-from .errors import ConfigError, MappingError, ParseError, PlanError
+from .errors import ConfigError, ParseError, PlanError
 from .harness import (
     ABLATION_PRESETS,
     load_config,
@@ -137,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)  # a path of the wrong kind
         return EXIT_CONFIG
-    except (ParseError, FileNotFoundError, MappingError) as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary

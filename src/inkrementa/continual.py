@@ -16,10 +16,15 @@ import numpy as np
 
 from . import numkit
 from .data import LabeledDataset
-from .errors import ConfigError, ConflictError, DegenerateHeadError, EmptyInputError, ShapeError
+from .errors import ConfigError, DegenerateHeadError
 from .model import DISTILL_LOSSES, IncModel, train_epochs
 
-WA_NORMS = ("l1", "l2")
+# name -> the per-row norm of a head matrix, as weight aligning measures it
+WA_NORM_TABLE = {
+    "l1": lambda head: np.abs(head).sum(axis=1),
+    "l2": lambda head: np.sqrt((head**2).sum(axis=1)),
+}
+WA_NORMS = tuple(WA_NORM_TABLE)
 
 ALPHA_BASE = 0.1  # mixing schedule: alpha = 0.1 * u / (u + v)
 
@@ -60,8 +65,6 @@ class CcsSettings:
 def _normalized_embeddings(model: IncModel, samples: np.ndarray) -> np.ndarray:
     """L2-normalized embeddings of one class's samples; a zero embedding stays zero."""
     _, embeddings = model.forward_batch(samples)
-    if embeddings.shape[0] == 0:
-        raise EmptyInputError("class has no samples")
     norms = np.sqrt((embeddings**2).sum(axis=1, keepdims=True))
     return embeddings / np.where(norms > 0, norms, 1.0)
 
@@ -71,10 +74,9 @@ def herding_select(model: IncModel, samples: np.ndarray, k: int) -> list[int]:
 
     Distances are measured between L2-normalized embeddings and the center;
     ties break toward the lower index. Returns min(k, n) indices ordered by
-    distance, then index.
+    distance, then index. Expects ``k >= 1`` (``CcsSettings`` checks it) and
+    a sample (``build_exemplar_store`` skips a class without rows).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     normalized = _normalized_embeddings(model, samples)
     center = normalized.mean(axis=0)
     distances = np.sqrt(((normalized - center) ** 2).sum(axis=1))
@@ -92,12 +94,11 @@ def build_exemplar_store(
 
     A store maps each (remapped) class id, in insertion order, to its
     min(k, available) rows, read-only once selected. Returns a new store;
-    ``existing`` is never mutated and its rows are never re-selected.
+    ``existing`` is never mutated and its rows are never re-selected. Expects
+    ids new to ``existing``: ``split_stages`` remaps each stage's ids above
+    every earlier stage's.
     """
     store = dict(existing or {})
-    overlap = set(dataset.class_ids) & set(store)
-    if overlap:
-        raise ConflictError(f"classes {sorted(overlap)} already have exemplars")
     for c in dataset.class_ids:
         rows = dataset.class_rows(c)
         if rows.shape[0] == 0:
@@ -108,24 +109,17 @@ def build_exemplar_store(
     return store
 
 
-def weight_align(head: np.ndarray, u: int, v: int, norm: str = "l2") -> np.ndarray:
-    """Rescale the v new head rows so mean new-row norm matches the old rows'.
+def weight_align(head: np.ndarray, u: int, norm: str = "l2") -> np.ndarray:
+    """Rescale the new head rows (after the first u) so their mean norm matches the old rows'.
 
     gamma = Mean(||w_1||..||w_u||) / Mean(||w_{u+1}||..||w_{u+v}||); rows
-    1..u are returned bit-identical.
+    1..u are returned bit-identical. Expects ``u >= 1`` and a new row
+    (``StagePlan`` groups are non-empty) and a ``WA_NORMS`` name (``CcsSettings``
+    checks ``wa_norm``; another raises ``KeyError``). The head is still checked:
+    a last training step can leave it non-finite.
     """
     head = numkit.as_matrix(head, "head")
-    if u < 1 or v < 1:
-        raise ValueError(f"need u >= 1 and v >= 1, got u={u}, v={v}")
-    if head.shape[0] != u + v:
-        raise ShapeError(f"head has {head.shape[0]} rows, expected u + v = {u + v}")
-    if norm not in WA_NORMS:
-        raise ValueError(f"unknown norm {norm!r}")
-
-    if norm == "l1":
-        row_norms = np.abs(head).sum(axis=1)
-    else:
-        row_norms = np.sqrt((head**2).sum(axis=1))
+    row_norms = WA_NORM_TABLE[norm](head)
     mean_new = row_norms[u:].mean()
     if mean_new == 0.0:
         raise DegenerateHeadError("every new head row is zero; aligning factor undefined")
@@ -155,22 +149,11 @@ def ccs_stage_update(
 
     Returns (updated model, extended store, per-epoch losses). Exemplars for
     the new classes are selected with the updated model and frozen thereafter.
+    ``prev`` and ``store`` are only read. ``split_stages`` guarantees what
+    this expects: a train row (``PlanError`` otherwise) and ``class_ids``
+    that are the next remapped ids, u..u+v-1, none yet in model or store.
     """
-    if new_data.n_samples == 0:
-        raise ValueError("new_data is empty")
     u, v = prev.num_classes, len(new_data.class_ids)
-    new_ids = set(new_data.class_ids)
-    seen = set(range(u)) | set(store)
-    overlap = new_ids & seen
-    if overlap:
-        raise ConflictError(f"new class ids {sorted(overlap)} were already seen")
-    expected = set(range(u, u + v))
-    if new_ids != expected:
-        raise ValueError(
-            f"new_data class ids must be contiguous after the old classes "
-            f"({sorted(expected)}), got {sorted(new_ids)}"
-        )
-
     student = prev.copy()
     student.expand_head(v, rng)
 
@@ -191,7 +174,7 @@ def ccs_stage_update(
     )
 
     if settings.use_weight_align:
-        student.head = weight_align(student.head, u, v, settings.wa_norm)
+        student.head = weight_align(student.head, u, settings.wa_norm)
 
     new_store = build_exemplar_store(student, new_data, settings.k, existing=store)
     return student, new_store, losses

@@ -21,10 +21,6 @@ class ConfigError(InkrementaError, ValueError):
     """A configuration object or file is invalid."""
 
 
-class ConflictError(InkrementaError, ValueError):
-    """Class ids overlap where disjointness is required."""
-
-
 class PlanError(InkrementaError, ValueError):
     """A stage plan misses, duplicates, or invents class ids."""
 
@@ -41,10 +37,6 @@ class ParseError(InkrementaError, ValueError):
 
 class DegenerateHeadError(InkrementaError, ValueError):
     """Weight aligning is undefined because every new head row is zero."""
-
-
-class MappingError(InkrementaError, ValueError):
-    """A test sample carries a class id the model has never seen."""
 
 
 class DivergenceError(InkrementaError):

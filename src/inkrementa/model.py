@@ -235,8 +235,6 @@ class IncModel:
 
     def expand_head(self, v: int, rng: np.random.Generator) -> None:
         """Grow the head by ``v`` He-uniform rows; existing rows are untouched."""
-        if v < 1:
-            raise ValueError(f"head expansion must add at least one class, got v={v}")
         new_rows = _he_uniform(rng, v, self.embed_dim)
         self.head = np.vstack([self.head, new_rows])
 

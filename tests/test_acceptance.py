@@ -217,7 +217,7 @@ def test_c03_weight_align_postconditions_on_100_random_heads():
         dim = int(rng.integers(1, 17))
         norm = "l2" if trial % 2 == 0 else "l1"
         head = rng.normal(size=(u + v, dim)) * rng.uniform(0.1, 5.0)
-        aligned = weight_align(head, u=u, v=v, norm=norm)
+        aligned = weight_align(head, u=u, norm=norm)
 
         npt.assert_array_equal(aligned[:u], head[:u])
         if norm == "l2":
@@ -227,7 +227,7 @@ def test_c03_weight_align_postconditions_on_100_random_heads():
         assert abs(norms[:u].mean() - norms[u:].mean()) <= 1e-9, f"head {trial} unbalanced"
 
     hand = np.array([[2.0, 0.0], [0.0, 2.0], [4.0, 0.0], [0.0, 4.0]])
-    aligned = weight_align(hand, u=2, v=2, norm="l2")
+    aligned = weight_align(hand, u=2, norm="l2")
     npt.assert_array_equal(aligned[2:], hand[2:] * 0.5)
 
 

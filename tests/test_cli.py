@@ -195,10 +195,10 @@ def test_runtime_failure_exits_4(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("step,stage", [("evaluate", 0), ("ccs_stage_update", 1)])
 def test_typed_error_inside_a_stage_keeps_its_exit_code(tmp_path, monkeypatch, capsys, step, stage):
     from inkrementa import harness
-    from inkrementa.errors import MappingError
+    from inkrementa.errors import ParseError
 
     def unmappable(*args):
-        raise MappingError("class 9 was never seen")
+        raise ParseError("class 9 was never seen")
 
     monkeypatch.setattr(harness, step, unmappable)
     assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 3

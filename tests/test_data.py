@@ -5,6 +5,8 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inkrementa import numkit
 from inkrementa.data import (
@@ -343,6 +345,54 @@ def test_split_rejects_missing_or_unknown_classes():
         split_stages(ds, ds, StagePlan(((0, 1),)))
     with pytest.raises(PlanError):
         split_stages(ds, ds, StagePlan(((0, 1, 2, 3),)))
+
+
+@st.composite
+def plans_and_pools(draw):
+    """A random plan over random ids, and a (train, test) pair it splits.
+
+    Every stage gets a train row and a test row and every class a row in one
+    of the pools, but a class may have no rows in either one. Row i of a pool
+    has feature i, so the split's rows can be traced back.
+    """
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    cuts = sorted(draw(st.sets(st.integers(1, len(ids) - 1))) if len(ids) > 1 else [])
+    groups = [tuple(ids[a:b]) for a, b in zip([0, *cuts], [*cuts, len(ids)])]
+    counts = {c: draw(st.tuples(st.integers(0, 3), st.integers(0, 3))) for c in ids}
+    for c in ids:
+        if counts[c] == (0, 0):
+            counts[c] = draw(st.sampled_from([(1, 0), (0, 1)]))
+    for group in groups:
+        for pool in (0, 1):
+            if not any(counts[c][pool] for c in group):
+                c = draw(st.sampled_from(group))
+                counts[c] = tuple(1 if p == pool else n for p, n in enumerate(counts[c]))
+    pools = []
+    for pool in (0, 1):
+        labels = draw(st.permutations([c for c in ids for _ in range(counts[c][pool])]))
+        pools.append(LabeledDataset(np.arange(len(labels), dtype=np.float64)[:, None], labels))
+    return StagePlan(tuple(groups)), pools
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans_and_pools())
+def test_split_stage_guarantees_hold_for_random_plans_and_pools(case):
+    """The facts every later layer takes on trust: a train and a test row per
+    stage, the next ``len(group)`` ids per stage, and every row once."""
+    plan, pools = case
+    stages = split_stages(*pools, plan)
+    assert len(stages) == len(plan.groups)
+    seen = 0
+    for group, pair in zip(plan.groups, stages):
+        ids = tuple(range(seen, seen + len(group)))
+        for dataset in pair:
+            assert dataset.n_samples >= 1
+            assert dataset.class_ids == ids
+            assert set(dataset.labels.tolist()) <= set(ids)
+        seen += len(group)
+    for pool, split in zip(pools, zip(*stages)):
+        rows = np.concatenate([dataset.features[:, 0] for dataset in split])
+        npt.assert_array_equal(np.sort(rows), np.arange(pool.n_samples))
 
 
 # -- standardization -----------------------------------------------------------------

@@ -189,12 +189,6 @@ def test_expand_head_keeps_old_logits_unchanged():
     assert np.argmax(logits_after[0, :5]) == np.argmax(logits_before[0])
 
 
-def test_expand_head_rejects_zero():
-    model = make_model()
-    with pytest.raises(ValueError):
-        model.expand_head(0, numkit.make_rng(0))
-
-
 def test_a_copy_of_a_trained_model_shares_no_memory_and_steps_alone():
     # every ablation variant starts from a copy of one shared stage-0 model
     model = make_model(num_classes=3, seed=9)
@@ -660,7 +654,7 @@ def test_distill_table_is_bit_identical_to_the_reference_chain(distill_loss):
 
 def swap_in_aligned_head(model):
     """Replace the head by a new array, as a stage update assigns ``weight_align``'s result."""
-    model.head = weight_align(model.head, 10, model.num_classes - 10)
+    model.head = weight_align(model.head, 10)
 
 
 def expand_by_two(model):
