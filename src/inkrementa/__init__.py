@@ -22,7 +22,6 @@ from .errors import (
     ConfigError,
     DegenerateHeadError,
     DivergenceError,
-    EmptyInputError,
     InkrementaError,
     NonFiniteError,
     ParseError,
@@ -51,7 +50,6 @@ __all__ = [
     "ConfigError",
     "DegenerateHeadError",
     "DivergenceError",
-    "EmptyInputError",
     "IncModel",
     "InkrementaError",
     "LabeledDataset",

@@ -115,8 +115,9 @@ def weight_align(head: np.ndarray, u: int, norm: str = "l2") -> np.ndarray:
     gamma = Mean(||w_1||..||w_u||) / Mean(||w_{u+1}||..||w_{u+v}||); rows
     1..u are returned bit-identical. Expects ``u >= 1`` and a new row
     (``StagePlan`` groups are non-empty) and a ``WA_NORMS`` name (``CcsSettings``
-    checks ``wa_norm``; another raises ``KeyError``). The head is still checked:
-    a last training step can leave it non-finite.
+    checks ``wa_norm``; another raises ``KeyError``). ``train_epochs`` already
+    fails on a trained head that is not finite; the head is checked here too,
+    and the benchmark tracer pins that ``as_matrix`` call.
     """
     head = numkit.as_matrix(head, "head")
     row_norms = WA_NORM_TABLE[norm](head)

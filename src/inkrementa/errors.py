@@ -13,10 +13,6 @@ class NonFiniteError(InkrementaError, ValueError):
     """An array holds NaN or infinite entries."""
 
 
-class EmptyInputError(InkrementaError, ValueError):
-    """An operation received an empty vector, dataset, or class."""
-
-
 class ConfigError(InkrementaError, ValueError):
     """A configuration object or file is invalid."""
 

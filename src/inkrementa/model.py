@@ -151,11 +151,7 @@ class IncModel:
     def init(
         cls, config: ModelConfig, input_dim: int, num_classes: int, rng: np.random.Generator
     ) -> "IncModel":
-        """He-uniform weights, zero biases, bias-free head over the last layer."""
-        if input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
-        if num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {num_classes}")
+        """He-uniform weights, zero biases, bias-free head; both sizes must be >= 1."""
         weights, biases = [], []
         in_dim = input_dim
         for h in config.hidden_dims:
@@ -287,7 +283,7 @@ class IncModel:
         alpha * distillation distance between the student's logits restricted
         to the teacher's ``u = t_logits.shape[1]`` classes and the teacher's
         logits ``t_logits`` for the same rows (MSE/L1 on logits, KLD on their
-        softmax at temperature 1). An empty batch raises ``EmptyInputError``.
+        softmax at temperature 1).
 
         The step computes the gradient and the update, and no loss value. The
         record it returns, ``(logits, row_max, row_sum)``, is what the loss
@@ -296,12 +292,12 @@ class IncModel:
         writes the record into ``out``, three arrays of shapes
         ``(n, num_classes)``, ``(n,)`` and ``(n,)``, or into new ones.
 
-        The step checks nothing: ``X`` must be a 2-D, finite, C-order float64
-        array with ``input_dim`` columns, ``y`` labels in ``[0, num_classes)``,
-        ``alpha`` in [0, 1], ``t_logits`` given exactly when ``alpha > 0`` with
-        at most ``num_classes`` columns, and ``distill_loss`` a key of
-        ``DISTILL_TABLE``; ``train_epochs`` checks that once per call. The
-        learning rate is ``config.lr``.
+        The step checks nothing: ``X`` must be a non-empty, 2-D, finite,
+        C-order float64 array with ``input_dim`` columns, ``y`` one label per
+        row in ``[0, num_classes)``, ``alpha`` in [0, 1], ``t_logits`` given
+        exactly when ``alpha > 0`` with at most ``num_classes`` columns, and
+        ``distill_loss`` a key of ``DISTILL_TABLE``; ``train_epochs`` checks
+        that once per call. The learning rate is ``config.lr``.
         """
         params, grads = self._packed()
         n = X.shape[0]
@@ -402,7 +398,9 @@ def train_epochs(
     turns them into per-row losses; each batch's mean loss, weighted by its
     rows and summed in batch order, gives the epoch's mean. A non-finite
     loss on the checked pool means the model itself diverged, which raises
-    ``DivergenceError`` naming the epoch.
+    ``DivergenceError`` naming the epoch. No pre-step loss shows the last
+    step, so the trained model then runs once more over the pool, and a
+    non-finite logit means the last epoch diverged.
     """
     cfg = model.config
     epochs, batch_size = cfg.epochs_per_stage, cfg.batch_size
@@ -460,4 +458,11 @@ def train_epochs(
         if not math.isfinite(total):
             raise DivergenceError(f"training diverged in epoch {epoch} of {epochs}: the epoch loss is {total}")
         epoch_losses.append(total / n)
+    # the check pass: batch-sized blocks, as in forward_batch, into the record's logits
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, batch_size):
+            rows = slice(start, start + batch_size)
+            model._forward_cached(features[rows], record[0][rows])
+    if not np.isfinite(record[0]).all():
+        raise DivergenceError(f"training diverged in epoch {epochs} of {epochs}: its last step left non-finite logits")
     return epoch_losses

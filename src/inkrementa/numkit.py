@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInputError, NonFiniteError, ShapeError
+from .errors import NonFiniteError, ShapeError
 
 KL_FLOOR = 1e-12
 
@@ -23,9 +23,8 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Distinct ``stream`` values give statistically independent sequences for
     the same seed (used to keep data synthesis and training draws separate).
+    A negative seed raises numpy's ``ValueError``.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -66,18 +65,14 @@ def softmax_ce_grad(logits: np.ndarray, labels, row_max: np.ndarray, row_sum: np
     ``exp(logits - row_max)`` into ``row_sum`` (1-D, one entry per row):
     with the logits, that is all ``cross_entropy_rows`` needs.
 
-    This is the SGD step's kernel, so it checks only what is free: the batch
-    is not empty and there is one label per row. ``logits`` must be a 2-D
-    float64 array and ``labels`` must lie in ``[0, num_classes)``; the caller
-    checks its inputs once per pool (``model.train_epochs``). Non-finite
-    logits give a non-finite gradient, and a negative label would index from
-    the end of its row.
+    This is the SGD step's kernel, and it checks nothing: ``logits`` must be
+    a non-empty 2-D float64 array and ``labels`` one label per row in
+    ``[0, num_classes)``. Its one caller, the step, takes its batches from
+    ``model.train_epochs``, which checks the pool once. Non-finite logits
+    give a non-finite gradient, and a negative label would index from the
+    end of its row; a label past the last class still raises ``IndexError``.
     """
-    n, num_classes = logits.shape
-    if n == 0 or num_classes == 0:
-        raise EmptyInputError(f"cross-entropy of an empty batch: logits have shape {logits.shape}")
-    if np.shape(labels) != (n,):
-        raise ShapeError(f"labels have shape {np.shape(labels)}, expected ({n},)")
+    n = logits.shape[0]
     np.maximum.reduce(logits, axis=1, out=row_max)
     grad = logits - row_max[:, None]
     np.exp(grad, out=grad)

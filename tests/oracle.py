@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
 The vector helpers are plain, one-sample definitions of the softmax and the
-losses; the tests compare the batched code in ``inkrementa`` against them. ``reference_step`` and ``reference_train_epochs`` are frozen copies of
-the straightforward SGD step and epoch loop (a row softmax plus a separate
+losses; the tests compare the batched code in ``inkrementa`` against them.
+``reference_step`` and ``reference_train_epochs`` are frozen copies of the
+straightforward SGD step and epoch loop (a row softmax plus a separate
 log-sum-exp, an ``if``/``elif`` chain of distillation losses, ``np.mean``, and
 one gather per batch, from a teacher pass made once per pool). The library's
 step must stay bit-identical to them.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from inkrementa.errors import EmptyInputError, ShapeError
+from inkrementa.errors import ShapeError
 from inkrementa.numkit import KL_FLOOR
 
 
@@ -28,7 +29,7 @@ def softmax(logits) -> np.ndarray:
     """Probability vector from logits, computed with max-subtraction."""
     z = as_vector(logits, "logits")
     if z.size == 0:
-        raise EmptyInputError("softmax of an empty vector")
+        raise ValueError("softmax of an empty vector")
     shifted = z - z.max()
     e = np.exp(shifted)
     return e / e.sum()
@@ -114,10 +115,9 @@ def reference_distill(distill_loss: str, s_logits: np.ndarray, t_logits: np.ndar
     return distill, d_s
 
 
-def reference_step(model, X, y, t_logits=None, alpha=0.0, distill_loss="mse", lr=None) -> float:
-    """One SGD step on ``model`` in place; returns the pre-step mean loss."""
-    if lr is None:
-        lr = model.config.lr
+def reference_step(model, X, y, t_logits=None, alpha=0.0, distill_loss="mse") -> float:
+    """One SGD step on ``model`` in place at ``model.config.lr``; returns the pre-step mean loss."""
+    lr = model.config.lr
     X = np.ascontiguousarray(X, dtype=np.float64)
     logits, pres, acts = _forward(model, X)
     n = logits.shape[0]
@@ -154,12 +154,14 @@ def reference_step(model, X, y, t_logits=None, alpha=0.0, distill_loss="mse", lr
 
 
 def reference_train_epochs(
-    model, features, labels, rng, *, epochs, batch_size, lr=None, teacher=None, alpha=0.0, distill_loss="mse"
+    model, features, labels, rng, *, teacher=None, alpha=0.0, distill_loss="mse"
 ) -> list[float]:
     """Shuffled mini-batch SGD gathering ``features[idx]`` for every batch.
 
-    The teacher runs once over the pool; each batch gathers its rows' logits.
+    Epoch count and batch size are ``model.config``'s. The teacher runs once
+    over the pool; each batch gathers its rows' logits.
     """
+    epochs, batch_size = model.config.epochs_per_stage, model.config.batch_size
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = features.shape[0]
@@ -172,7 +174,7 @@ def reference_train_epochs(
             idx = order[start : start + batch_size]
             t_logits = None if t_pool is None else t_pool[idx]
             loss = reference_step(
-                model, features[idx], labels[idx], t_logits=t_logits, alpha=alpha, distill_loss=distill_loss, lr=lr
+                model, features[idx], labels[idx], t_logits=t_logits, alpha=alpha, distill_loss=distill_loss
             )
             total += loss * idx.size
         epoch_losses.append(total / n)

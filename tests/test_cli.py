@@ -222,6 +222,51 @@ def test_a_diverging_run_emits_no_runtime_warning(tmp_path, capsys):
     assert "runtime error: stage 1 failed: training diverged in epoch 2 of 5" in err
 
 
+def diverging_config(tmp_path, **overrides):
+    """The default 55-class scenario with one SGD step per stage, at a learning rate that overflows."""
+    doc = dict(
+        seed=0,
+        data={
+            "synthetic": {
+                "num_classes": 55, "input_dim": 8, "train_per_class": 100,
+                "test_per_class": 20, "center_scale": 10.0, "stddev": 1.0,
+            }
+        },
+        stages=[list(range(0, 15)), *[list(range(s, s + 10)) for s in (15, 25, 35, 45)]],
+        model={"hidden_dims": [64, 32], "lr": 1e300, "batch_size": 100000, "epochs_per_stage": 1},
+    )
+    return write_config(tmp_path, **{**doc, **overrides})
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {
+            "stages": [list(range(55))],
+            "ccs": {"k": 1, "use_exemplars": False, "use_distillation": False, "use_weight_align": False},
+        },
+    ],
+    ids=["five-stages", "one-stage-ccs-off"],
+)
+def test_a_divergence_in_the_last_step_names_its_stage_and_epoch(tmp_path, capsys, overrides):
+    # the one step's pre-step loss is finite; only the model it leaves behind is not
+    config = diverging_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 4
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "runtime error: stage 0 failed: training diverged in epoch 1 of 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_negative_seed_override_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert cli.main(["run", "--config", str(config), "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "config error: seed must be non-negative, got -1" in capsys.readouterr().err
+
+
 def test_ablate_writes_reports_and_tables(tmp_path, capsys):
     config = write_config(tmp_path)
     out = tmp_path / "ablation"

@@ -79,6 +79,8 @@ def test_synthetic_spec_validation():
     with pytest.raises(ConfigError):
         SyntheticSpec(num_classes=0, input_dim=2, train_per_class=5, test_per_class=2)
     with pytest.raises(ConfigError):
+        SyntheticSpec(num_classes=2, input_dim=0, train_per_class=5, test_per_class=2)
+    with pytest.raises(ConfigError):
         SyntheticSpec(num_classes=2, input_dim=2, train_per_class=0, test_per_class=2)
     with pytest.raises(ConfigError):
         SyntheticSpec(num_classes=2, input_dim=2, train_per_class=5, test_per_class=2, stddev=0.0)
@@ -159,6 +161,13 @@ def test_load_csv_ragged_row_cites_line_number(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("0,1.0,2.0,3.0\n0,1.5\n")
     with pytest.raises(ParseError, match="line 2"):
+        load_csv(path)
+
+
+def test_load_csv_rejects_a_row_without_features(tmp_path):
+    path = tmp_path / "label-only.csv"
+    path.write_text("3\n")
+    with pytest.raises(ParseError, match=re.escape("line 1: expected 'label,f1,...' but found 1 field(s)")):
         load_csv(path)
 
 
