@@ -1,5 +1,10 @@
-"""Continual-learning core: herding exemplar selection, staged model updates
-with teacher-student distillation, and head weight aligning.
+"""Continual-learning core: exemplar selection, staged model updates with
+teacher-student distillation, and head weight aligning.
+
+Exemplars are the samples nearest to the class mean of L2-normalized
+embeddings (``herding_select``). That is not iCaRL's herding, which picks
+greedily so that the mean of the chosen set tracks the class mean; the two
+agree at ``k = 1``.
 
 A stage update takes the previous model and a disjoint block of new classes,
 widens the prediction head, and trains on the new data mixed with the
@@ -70,12 +75,16 @@ def _normalized_embeddings(model: IncModel, samples: np.ndarray) -> np.ndarray:
 
 
 def herding_select(model: IncModel, samples: np.ndarray, k: int) -> list[int]:
-    """Indices of the k samples nearest (Euclidean) to the class feature center.
+    """Indices of the k samples nearest to the class mean of L2-normalized embeddings.
 
-    Distances are measured between L2-normalized embeddings and the center;
-    ties break toward the lower index. Returns min(k, n) indices ordered by
-    distance, then index. Expects ``k >= 1`` (``CcsSettings`` checks it) and
-    a sample (``build_exemplar_store`` skips a class without rows).
+    This is nearest-to-mean selection, not iCaRL's greedy herding (which
+    picks each next sample so that the chosen set's mean tracks the class
+    mean); the name is historical. Distances are Euclidean, between each
+    L2-normalized embedding and the mean of the class's normalized
+    embeddings; ties break toward the lower index. Returns min(k, n)
+    indices ordered by distance, then index. Expects ``k >= 1``
+    (``CcsSettings`` checks it) and a sample (``build_exemplar_store`` skips
+    a class without rows).
     """
     normalized = _normalized_embeddings(model, samples)
     center = normalized.mean(axis=0)
@@ -90,7 +99,7 @@ def build_exemplar_store(
     k: int,
     existing: dict[int, np.ndarray] | None = None,
 ) -> dict[int, np.ndarray]:
-    """Herding-select k exemplars per new class; prior classes stay frozen.
+    """Select k exemplars per new class (``herding_select``); prior classes stay frozen.
 
     A store maps each (remapped) class id, in insertion order, to its
     min(k, available) rows, read-only once selected. Returns a new store;

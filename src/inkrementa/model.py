@@ -13,6 +13,13 @@ the batch's pre-step logits and the row max and row sum of their softmax.
 ``row_losses`` turns such records into per-row losses, and ``train_epochs``
 calls it once per epoch, over all of the epoch's rows.
 
+A ``train_epochs`` call allocates what its steps write once, sized from the
+model as it stands at the call: the record, the epoch's gathered rows, and a
+``StepScratch`` of work arrays (activations, ReLU masks, backprop buffers,
+the logit and distillation gradients), whose short last batch uses row
+slices of the full batch's arrays. A step called without a scratch builds
+its own, so both run one code path.
+
 The distillation losses are one table, ``DISTILL_TABLE``: ``name ->
 (distance, gradient)``, each a function of ``(s_logits, t_logits)``. The step
 uses only the gradient with respect to the student logits, and the epoch's
@@ -49,8 +56,8 @@ def _mse_distance(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
     return np.add.reduce(diff, axis=1) / diff.shape[1]
 
 
-def _mse_gradient(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
-    d = s_logits - t_logits
+def _mse_gradient(s_logits: np.ndarray, t_logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    d = np.subtract(s_logits, t_logits, out=out)
     d *= 2.0
     d /= d.shape[1]
     return d
@@ -62,8 +69,8 @@ def _l1_distance(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.abs(diff, out=diff), axis=1) / diff.shape[1]
 
 
-def _l1_gradient(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
-    d = s_logits - t_logits
+def _l1_gradient(s_logits: np.ndarray, t_logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    d = np.subtract(s_logits, t_logits, out=out)
     np.sign(d, out=d)
     d /= d.shape[1]
     return d
@@ -83,8 +90,8 @@ def _kld_distance(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=1)
 
 
-def _kld_gradient(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
-    d = numkit.softmax_rows(s_logits)
+def _kld_gradient(s_logits: np.ndarray, t_logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    d = numkit.softmax_rows(s_logits, out=out)
     d -= numkit.softmax_rows(t_logits)
     return d
 
@@ -93,7 +100,8 @@ def _kld_gradient(s_logits: np.ndarray, t_logits: np.ndarray) -> np.ndarray:
 # the teacher's u classes and the teacher's logits, 2-D float64 arrays of the
 # same shape with at least one column, unchecked as the step passes them. The
 # distance gives one value per row and may overwrite the teacher's logits;
-# the gradient is the distance's with respect to the student's logits.
+# the gradient is the distance's with respect to the student's logits, written
+# into its ``out=`` array of that shape or into a new one.
 DISTILL_TABLE = {
     "mse": (_mse_distance, _mse_gradient),
     "kld": (_kld_distance, _kld_gradient),
@@ -130,6 +138,45 @@ class ModelConfig:
 def _he_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     bound = np.sqrt(6.0 / in_dim)
     return rng.uniform(-bound, bound, size=(out_dim, in_dim))
+
+
+class StepScratch:
+    """The work arrays of SGD steps on batches of one row count.
+
+    Per hidden layer an activation, a ReLU mask and a backprop buffer (with
+    its transpose); the logit gradient with its view of the teacher's ``u``
+    columns and its transpose; the ``u``-column distillation gradient; and
+    the row index ``np.arange(rows)``. A step overwrites all of them.
+    """
+
+    __slots__ = ("hidden", "masks", "backs", "backs_T", "grad", "grad_u", "grad_T", "d_s", "index")
+
+    def __init__(self, hidden, masks, backs, grad, d_s, index):
+        self.hidden, self.masks, self.backs = hidden, masks, backs
+        self.grad, self.d_s, self.index = grad, d_s, index
+        # the views a step reads, built once
+        self.backs_T = [b.T for b in backs]
+        self.grad_u, self.grad_T = grad[:, : d_s.shape[1]], grad.T
+
+    @classmethod
+    def new(cls, model: "IncModel", rows: int, u: int) -> "StepScratch":
+        """New arrays for ``rows``-row steps of ``model`` as it stands, with a ``u``-class teacher."""
+        widths = [w.shape[0] for w in model.weights]
+        return cls(
+            *([np.empty((rows, h)) for h in widths] for _ in range(3)),
+            np.empty((rows, model.num_classes)),
+            np.empty((rows, u)),
+            np.arange(rows),
+        )
+
+    def first_rows(self, rows: int) -> "StepScratch":
+        """The same arrays' first ``rows`` rows, for a shorter batch."""
+        return StepScratch(
+            *([a[:rows] for a in arrays] for arrays in (self.hidden, self.masks, self.backs)),
+            self.grad[:rows],
+            self.d_s[:rows],
+            self.index[:rows],
+        )
 
 
 @dataclass
@@ -202,25 +249,28 @@ class IncModel:
         logits = np.empty((n, self.num_classes))
         # without hidden layers the embedding is the input itself
         embeddings = np.empty((n, self.embed_dim)) if self.weights else X.copy()
+        # the last hidden layer writes into the embeddings, the others into new arrays
+        hidden = [None] * len(self.weights)
         for start in range(0, n, step):
             block = slice(start, start + step)
-            self._forward_cached(X[block], logits[block], embeddings[block])
+            if hidden:
+                hidden[-1] = embeddings[block]
+            self._forward_cached(X[block], logits[block], hidden)
         return logits, embeddings
 
-    def _forward_cached(self, X: np.ndarray, logits: np.ndarray, embeddings: np.ndarray | None = None):
+    def _forward_cached(self, X: np.ndarray, logits: np.ndarray, hidden: list) -> list[np.ndarray]:
         """Pass over an already-checked matrix; returns the activations.
 
-        The logits are written into ``logits``, and the last hidden layer's
-        activations into ``embeddings`` when it is given. The bias and the
-        ReLU are applied in place. A unit's activation is positive exactly
-        when its pre-activation is, so backprop takes its ReLU mask from the
-        activations.
+        The logits are written into ``logits``, and hidden layer ``k``'s
+        activations into ``hidden[k]``, or into a new array where that is
+        ``None``. The bias and the ReLU are applied in place. A unit's
+        activation is positive exactly when its pre-activation is, so
+        backprop takes its ReLU mask from the activations.
         """
         acts = [X]
         a = X
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = np.dot(a, w.T, out=embeddings if k == last else None)
+        for w, b, out in zip(self.weights, self.biases, hidden):
+            a = np.dot(a, w.T, out=out)
             a += b
             np.maximum(a, 0.0, out=a)
             acts.append(a)
@@ -276,6 +326,7 @@ class IncModel:
         alpha: float = 0.0,
         distill_loss: str = "mse",
         out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        scratch: StepScratch | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One SGD step on the mean batch loss; returns the pre-step record.
 
@@ -290,7 +341,9 @@ class IncModel:
         needs: the batch's pre-step logits, and the row max and row sum of
         their softmax. ``row_losses`` turns it into per-row losses. The step
         writes the record into ``out``, three arrays of shapes
-        ``(n, num_classes)``, ``(n,)`` and ``(n,)``, or into new ones.
+        ``(n, num_classes)``, ``(n,)`` and ``(n,)``, or into new ones. Its
+        work arrays are ``scratch``, a ``StepScratch`` for ``n`` rows of this
+        model and the teacher's ``u`` (0 without one), or new ones.
 
         The step checks nothing: ``X`` must be a non-empty, 2-D, finite,
         C-order float64 array with ``input_dim`` columns, ``y`` one label per
@@ -303,29 +356,31 @@ class IncModel:
         n = X.shape[0]
         if out is None:
             out = (np.empty((n, self.num_classes)), np.empty(n), np.empty(n))
+        if scratch is None:
+            scratch = StepScratch.new(self, n, 0 if t_logits is None else t_logits.shape[1])
         logits, row_max, row_sum = out
-        acts = self._forward_cached(X, logits)
-        grad = numkit.softmax_ce_grad(logits, y, row_max, row_sum)
+        acts = self._forward_cached(X, logits, scratch.hidden)
+        grad = numkit.softmax_ce_grad(logits, y, row_max, row_sum, out=scratch.grad, index=scratch.index)
         grad *= (1.0 - alpha) / n
         if alpha > 0:
-            u = t_logits.shape[1]
-            d_s = DISTILL_TABLE[distill_loss][1](logits[:, :u], t_logits)
+            d_s = DISTILL_TABLE[distill_loss][1](logits[:, : t_logits.shape[1]], t_logits, out=scratch.d_s)
             d_s *= alpha / n
-            grad[:, :u] += d_s
+            scratch.grad_u += d_s
 
         # backprop through the head and hidden stack from the pre-step
         # parameters, each gradient written into its view of `grads`
         layers = len(self.weights)
         d_params = self._grad_views
-        np.dot(grad.T, acts[-1], out=d_params[-1])
-        d_act = np.dot(grad, self.head)
+        np.dot(scratch.grad_T, acts[-1], out=d_params[-1])
+        upstream, weight = grad, self.head
         for k in range(layers - 1, -1, -1):
+            d_act = np.dot(upstream, weight, out=scratch.backs[k])
             # the ReLU mask: activations are >= 0, so their sign is exactly 1.0 or 0.0
-            d_act *= np.sign(acts[k + 1])
-            np.dot(d_act.T, acts[k], out=d_params[k])
+            d_act *= np.sign(acts[k + 1], out=scratch.masks[k])
+            np.dot(scratch.backs_T[k], acts[k], out=d_params[k])
             np.add.reduce(d_act, axis=0, out=d_params[layers + k])
-            if k > 0:  # the input layer's gradient w.r.t. X is never used
-                d_act = np.dot(d_act, self.weights[k])
+            # the input layer's gradient w.r.t. X is never computed
+            upstream, weight = d_act, self.weights[k]
         # p - lr * d for every parameter, as two whole-vector operations
         grads *= self.config.lr
         params -= grads
@@ -393,8 +448,9 @@ def train_epochs(
     random draw and the teacher pass, and the steps trust them. The frozen
     teacher's logits never change within a call, so the teacher runs once
     over the pool and each epoch gathers its logits with the same ``order``
-    as the rows. The steps write their records into one set of arrays for
-    the whole pool, and after the epoch's last step one ``row_losses`` call
+    as the rows, into arrays allocated once per call. The steps write their
+    records into one set of arrays for the whole pool, and their work into
+    one ``StepScratch``; after the epoch's last step one ``row_losses`` call
     turns them into per-row losses; each batch's mean loss, weighted by its
     rows and summed in batch order, gives the epoch's mean. A non-finite
     loss on the checked pool means the model itself diverged, which raises
@@ -427,25 +483,48 @@ def train_epochs(
         raise ShapeError(f"teacher has {teacher.num_classes} classes but student only {model.num_classes}")
     t_pool = None if teacher is None else teacher.forward_batch(features)[0]
 
-    # one record per call: each step writes its rows, then the epoch's loss reads them all
+    # Everything the steps write is allocated once per call: the record, which
+    # each step writes its rows of and the epoch's loss reads whole; the
+    # epoch's gathered rows, labels and teacher logits (the loss may overwrite
+    # the last, so they are never the caller's arrays); and the steps' scratch,
+    # whose tail-batch arrays are row slices of the full batch's.
     record = (np.empty((n, model.num_classes)), np.empty(n), np.empty(n))
+    X, y = np.empty_like(features), np.empty_like(labels)
+    T = None if t_pool is None else np.empty_like(t_pool)
     full = n - n % batch_size  # rows in full batches
+    scratch = StepScratch.new(model, min(n, batch_size), 0 if T is None else T.shape[1])
+    tail = scratch.first_rows(n - full)  # for the short last batch, if there is one
+    batches = [
+        (
+            rows,
+            X[rows],
+            y[rows],
+            None if T is None else T[rows],
+            (record[0][rows], record[1][rows], record[2][rows]),
+            scratch if rows.start < full else tail,
+        )
+        for rows in (slice(start, start + batch_size) for start in range(0, n, batch_size))
+    ]
     epoch_losses = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
-        X, y = features[order], labels[order]
-        T = None if t_pool is None else t_pool[order]
+        # "clip" never clips a permutation, and unlike "raise" it gathers
+        # straight into `out=` instead of through a temporary copy
+        np.take(features, order, axis=0, out=X, mode="clip")
+        np.take(labels, order, out=y, mode="clip")
+        if T is not None:
+            np.take(t_pool, order, axis=0, out=T, mode="clip")
         # overflow and NaN arithmetic in a diverged model is reported once, by the check below
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, batch_size):
-                rows = slice(start, start + batch_size)
+            for _, X_rows, y_rows, T_rows, out, batch_scratch in batches:
                 model.backward_and_step(
-                    X[rows],
-                    y[rows],
-                    t_logits=None if T is None else T[rows],
+                    X_rows,
+                    y_rows,
+                    t_logits=T_rows,
                     alpha=alpha,
                     distill_loss=distill_loss,
-                    out=(record[0][rows], record[1][rows], record[2][rows]),
+                    out=out,
+                    scratch=batch_scratch,
                 )
             losses = row_losses(record, y, T, alpha, distill_loss)
             # each batch's mean weighted by its rows and summed in batch order:
@@ -460,9 +539,8 @@ def train_epochs(
         epoch_losses.append(total / n)
     # the check pass: batch-sized blocks, as in forward_batch, into the record's logits
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, batch_size):
-            rows = slice(start, start + batch_size)
-            model._forward_cached(features[rows], record[0][rows])
+        for rows, _, _, _, out, batch_scratch in batches:
+            model._forward_cached(features[rows], out[0], batch_scratch.hidden)
     if not np.isfinite(record[0]).all():
         raise DivergenceError(f"training diverged in epoch {epochs} of {epochs}: its last step left non-finite logits")
     return epoch_losses

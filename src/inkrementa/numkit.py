@@ -57,13 +57,22 @@ def softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def softmax_ce_grad(logits: np.ndarray, labels, row_max: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
+def softmax_ce_grad(
+    logits: np.ndarray,
+    labels,
+    row_max: np.ndarray,
+    row_sum: np.ndarray,
+    out: np.ndarray | None = None,
+    index: np.ndarray | None = None,
+) -> np.ndarray:
     """Gradient of the per-row cross-entropy with respect to 2-D ``logits``.
 
-    Returns ``softmax(logits) - onehot(labels)`` in a new array. Along the
-    way it writes each row's max into ``row_max`` and the row sum of
-    ``exp(logits - row_max)`` into ``row_sum`` (1-D, one entry per row):
-    with the logits, that is all ``cross_entropy_rows`` needs.
+    Returns ``softmax(logits) - onehot(labels)``, written into ``out`` (of
+    the logits' shape) or into a new array. Along the way it writes each
+    row's max into ``row_max`` and the row sum of ``exp(logits - row_max)``
+    into ``row_sum`` (1-D, one entry per row): with the logits, that is all
+    ``cross_entropy_rows`` needs. ``index`` is the row index
+    ``np.arange(n)``, built when not given.
 
     This is the SGD step's kernel, and it checks nothing: ``logits`` must be
     a non-empty 2-D float64 array and ``labels`` one label per row in
@@ -72,15 +81,16 @@ def softmax_ce_grad(logits: np.ndarray, labels, row_max: np.ndarray, row_sum: np
     give a non-finite gradient, and a negative label would index from the
     end of its row; a label past the last class still raises ``IndexError``.
     """
-    n = logits.shape[0]
     np.maximum.reduce(logits, axis=1, out=row_max)
-    grad = logits - row_max[:, None]
+    grad = np.subtract(logits, row_max[:, None], out=out)
     np.exp(grad, out=grad)
     np.add.reduce(grad, axis=1, out=row_sum)
     grad /= row_sum[:, None]
+    if index is None:
+        index = np.arange(logits.shape[0])
     # one (row, label) pair per row, bounds-checked like the 2-D index
     # ``grad[rows, labels] -= 1.0`` but without its gather and scatter
-    np.subtract.at(grad, (np.arange(n), labels), 1.0)
+    np.subtract.at(grad, (index, labels), 1.0)
     return grad
 
 

@@ -678,6 +678,46 @@ def test_train_epochs_is_bit_identical_to_a_per_batch_gather_loop(distill_loss, 
     assert_same_bits(model, ref)
 
 
+@pytest.mark.parametrize(
+    "distill_loss, alpha", [("mse", 0.0), *((loss, 0.05) for loss in DISTILL_LOSSES)], ids=["ce", *DISTILL_LOSSES]
+)
+def test_two_train_epochs_calls_around_a_head_change_match_the_reference(distill_loss, alpha):
+    """Each call sizes its work arrays from the model as it stands at that call.
+
+    Between the calls the head grows by 3 classes and is swapped for its
+    aligned copy, and the teacher grows from 10 to 15 classes, as over a
+    stage update; the pools leave short last batches of 13 and 8 rows.
+    """
+    model, first_teacher = reference_pair(seed=53)  # epochs 3, batch 32
+    ref = model.copy()
+    data = numkit.make_rng(54)
+    X1, y1 = data.normal(size=(45, 8)), data.integers(0, 15, size=45)
+    X2, y2 = data.normal(size=(40, 8)), data.integers(0, 18, size=40)
+    losses = []
+    for m, train in ((model, train_epochs), (ref, oracle.reference_train_epochs)):
+        teacher = first_teacher if alpha > 0 else None
+        losses.append(train(m, X1, y1, numkit.make_rng(55), teacher=teacher, alpha=alpha, distill_loss=distill_loss))
+        teacher = m.snapshot() if alpha > 0 else None
+        m.expand_head(3, numkit.make_rng(56))
+        m.head = weight_align(m.head, 15)
+        losses[-1] += train(m, X2, y2, numkit.make_rng(57), teacher=teacher, alpha=alpha, distill_loss=distill_loss)
+    assert np.array_equal(*losses)
+    assert_same_bits(model, ref)
+
+
+@pytest.mark.parametrize("distill_loss", DISTILL_LOSSES)
+def test_train_epochs_leaves_read_only_inputs_and_the_teacher_as_they_were(distill_loss):
+    """A pool of store rows is read-only, and the epoch's loss overwrites the gathered teacher logits."""
+    model, teacher = reference_pair(seed=58)
+    data = numkit.make_rng(59)
+    X, y = data.normal(size=(45, 8)), data.integers(0, 15, size=45)
+    X.setflags(write=False)
+    y.setflags(write=False)
+    before = (X.tobytes(), y.tobytes(), teacher.forward_batch(X)[0].tobytes())
+    train_epochs(model, X, y, numkit.make_rng(60), teacher=teacher, alpha=0.05, distill_loss=distill_loss)
+    assert (X.tobytes(), y.tobytes(), teacher.forward_batch(X)[0].tobytes()) == before
+
+
 # -- teacher snapshots ----------------------------------------------------------------
 
 

@@ -7,7 +7,8 @@
 # this script's own checkout is the head. With the config of
 # `bench/run.py`'s `scenario_config(3)`, each side runs every ablation preset
 # (`components`, `losses`, `norms`) at `--seeds 2`, one `run` from CSV files
-# in which a stage-1 class (id 15) has test rows but no train rows, and
+# in which a stage-1 class (id 15) has test rows but no train rows, one `run`
+# at `batch_size` 2048 (every stage's pool is then a single short batch), and
 # `report` over all of those reports. OUT must be empty or absent; the outputs
 # go to OUT/base and OUT/head. Exits 0 when `diff -r` finds the two sides equal.
 set -euo pipefail
@@ -40,6 +41,8 @@ python -c "import sys; lines = open(sys.argv[1]).readlines(); open(sys.argv[1], 
     "$data/train.csv"
 python -c "import json, sys; doc = json.load(open(sys.argv[1])); doc['data'] = {'csv': {'train': sys.argv[2] + '/train.csv', 'test': sys.argv[2] + '/test.csv'}}; json.dump(doc, open(sys.argv[3], 'w'))" \
     "$config" "$data" "$out/csv-config.json"
+python -c "import json, sys; doc = json.load(open(sys.argv[1])); doc['model']['batch_size'] = 2048; json.dump(doc, open(sys.argv[2], 'w'))" \
+    "$config" "$out/one-batch-config.json"
 
 for side in head base; do
     tree=$head
@@ -48,7 +51,8 @@ for side in head base; do
         cli "$tree" ablate --config "$config" --preset "$preset" --seeds 2 --out "$out/$side/$preset"
     done
     cli "$tree" run --config "$out/csv-config.json" --out "$out/$side/csv"
+    cli "$tree" run --config "$out/one-batch-config.json" --out "$out/$side/one-batch"
     # the base's report does not create directories, so write into one that exists
-    cli "$tree" report "$out/$side"/{components,losses,norms,csv}/*.json --out "$out/$side/report.csv"
+    cli "$tree" report "$out/$side"/{components,losses,norms,csv,one-batch}/*.json --out "$out/$side/report.csv"
 done
 diff -r "$out/base" "$out/head"
