@@ -15,10 +15,11 @@ calls it once per epoch, over all of the epoch's rows.
 
 A ``train_epochs`` call allocates what its steps write once, sized from the
 model as it stands at the call: the record, the epoch's gathered rows, and a
-``StepScratch`` of work arrays (activations, ReLU masks, backprop buffers,
-the logit and distillation gradients), whose short last batch uses row
-slices of the full batch's arrays. A step called without a scratch builds
-its own, so both run one code path.
+``StepScratch`` that packs the parameters and holds the work arrays
+(activations, ReLU masks, backprop buffers, the logit and distillation
+gradients), whose short last batch uses row slices of the full batch's
+arrays. A step called without a scratch builds its own, so both run one
+code path.
 
 The distillation losses are one table, ``DISTILL_TABLE``: ``name ->
 (distance, gradient)``, each a function of ``(s_logits, t_logits)``. The step
@@ -28,20 +29,19 @@ loss only the per-sample distance. ``DISTILL_LOSSES`` lists its names.
 Weight convention: layer matrices have shape (out_dim, in_dim), so a batch
 ``X`` of shape (n, in_dim) maps to ``X @ W.T + b``.
 
-Parameter storage: an SGD step keeps every parameter in one flat float64
-vector, ``weights[k]``, ``biases[k]`` and ``head`` being reshaped views of it,
-and writes its gradients into the matching views of one gradient vector, so
-that a single subtraction updates every layer. Any attribute may still be
-replaced by a new array (``expand_head``, the aligned head of a stage update,
-a fresh ``copy``): before it touches the flat vector, a step repacks every
-parameter that is not one of its views.
+Parameter storage: a ``StepScratch`` packs the model, copying every
+parameter into one flat float64 vector and making ``weights[k]``, ``biases[k]``
+and ``head`` reshaped views of it; its steps write their gradients into the
+matching views of one gradient vector, so that a single subtraction updates
+every layer. The model keeps no packing state: any attribute may be replaced
+by a new array (``expand_head``, the aligned head of a stage update, a
+``copy``), and the next scratch packs it again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import is_not
 
 import numpy as np
 
@@ -141,17 +141,25 @@ def _he_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarr
 
 
 class StepScratch:
-    """The work arrays of SGD steps on batches of one row count.
+    """The packed parameters and the work arrays of SGD steps on batches of one row count.
 
-    Per hidden layer an activation, a ReLU mask and a backprop buffer (with
-    its transpose); the logit gradient with its view of the teacher's ``u``
-    columns and its transpose; the ``u``-column distillation gradient; and
-    the row index ``np.arange(rows)``. A step overwrites all of them.
+    ``params`` is the model's flat parameter vector and ``grads`` its
+    gradient vector, with ``grad_views`` shaped as the weights, biases and
+    head. Then per hidden layer an activation, a ReLU mask and a backprop
+    buffer (with its transpose); the logit gradient with its view of the
+    teacher's ``u`` columns and its transpose; the ``u``-column distillation
+    gradient; and the row index ``np.arange(rows)``. A step overwrites all
+    but ``params``, which it updates. The scratch serves its model until a
+    parameter array is replaced.
     """
 
-    __slots__ = ("hidden", "masks", "backs", "backs_T", "grad", "grad_u", "grad_T", "d_s", "index")
+    __slots__ = (
+        "params", "grads", "grad_views",
+        "hidden", "masks", "backs", "backs_T", "grad", "grad_u", "grad_T", "d_s", "index",
+    )
 
-    def __init__(self, hidden, masks, backs, grad, d_s, index):
+    def __init__(self, params, grads, grad_views, hidden, masks, backs, grad, d_s, index):
+        self.params, self.grads, self.grad_views = params, grads, grad_views
         self.hidden, self.masks, self.backs = hidden, masks, backs
         self.grad, self.d_s, self.index = grad, d_s, index
         # the views a step reads, built once
@@ -160,9 +168,27 @@ class StepScratch:
 
     @classmethod
     def new(cls, model: "IncModel", rows: int, u: int) -> "StepScratch":
-        """New arrays for ``rows``-row steps of ``model`` as it stands, with a ``u``-class teacher."""
+        """Pack ``model`` and allocate for ``rows``-row steps with a ``u``-class teacher.
+
+        Every parameter is copied, in the order weights, biases, head, into
+        one new flat vector, and the model's attributes become reshaped views
+        of it.
+        """
+        arrays = (*model.weights, *model.biases, model.head)
+        total = sum(p.size for p in arrays)
+        params, grads = np.empty(total), np.empty(total)
+        views, grad_views, start = [], [], 0
+        for p in arrays:
+            stop = start + p.size
+            views.append(params[start:stop].reshape(p.shape))
+            views[-1][...] = p
+            grad_views.append(grads[start:stop].reshape(p.shape))
+            start = stop
+        layers = len(model.weights)
+        model.weights, model.biases, model.head = views[:layers], views[layers:-1], views[-1]
         widths = [w.shape[0] for w in model.weights]
         return cls(
+            params, grads, grad_views,
             *([np.empty((rows, h)) for h in widths] for _ in range(3)),
             np.empty((rows, model.num_classes)),
             np.empty((rows, u)),
@@ -170,8 +196,9 @@ class StepScratch:
         )
 
     def first_rows(self, rows: int) -> "StepScratch":
-        """The same arrays' first ``rows`` rows, for a shorter batch."""
+        """The same parameters and the same work arrays' first ``rows`` rows, for a shorter batch."""
         return StepScratch(
+            self.params, self.grads, self.grad_views,
             *([a[:rows] for a in arrays] for arrays in (self.hidden, self.masks, self.backs)),
             self.grad[:rows],
             self.d_s[:rows],
@@ -187,12 +214,6 @@ class IncModel:
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
     head: np.ndarray = field(repr=False)
-    # set by `_packed`: the flat parameter and gradient vectors and their
-    # views, in the order weights, biases, head
-    _flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _grads: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _views: tuple = field(default=(), init=False, repr=False, compare=False)
-    _grad_views: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def init(
@@ -287,35 +308,6 @@ class IncModel:
     def snapshot(self) -> "TeacherSnapshot":
         return TeacherSnapshot(self)
 
-    def _packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flat (parameter, gradient) vectors, repacked first if needed.
-
-        Any parameter array that is not the view packed last (a replaced
-        head, a directly built or copied model) is copied, together with
-        all the others, into new flat vectors, and the attributes become
-        views of them.
-        """
-        params = (*self.weights, *self.biases, self.head)
-        if len(params) != len(self._views) or any(map(is_not, params, self._views)):
-            total = sum(p.size for p in params)
-            self._flat, self._grads = np.empty(total), np.empty(total)
-            views, grad_views, start = [], [], 0
-            for p in params:
-                stop = start + p.size
-                views.append(self._flat[start:stop].reshape(p.shape))
-                views[-1][...] = p
-                grad_views.append(self._grads[start:stop].reshape(p.shape))
-                start = stop
-            self._views, self._grad_views = tuple(views), tuple(grad_views)
-            layers = len(self.weights)
-            self.weights, self.biases, self.head = views[:layers], views[layers:-1], views[-1]
-        return self._flat, self._grads
-
-    def __getstate__(self) -> dict:
-        # pickling or deep-copying detaches the views from the flat vector,
-        # so the copy drops the packing and its next step repacks
-        return {**self.__dict__, "_flat": None, "_grads": None, "_views": (), "_grad_views": ()}
-
     # -- training ------------------------------------------------------------
 
     def backward_and_step(
@@ -342,8 +334,10 @@ class IncModel:
         their softmax. ``row_losses`` turns it into per-row losses. The step
         writes the record into ``out``, three arrays of shapes
         ``(n, num_classes)``, ``(n,)`` and ``(n,)``, or into new ones. Its
-        work arrays are ``scratch``, a ``StepScratch`` for ``n`` rows of this
-        model and the teacher's ``u`` (0 without one), or new ones.
+        parameters and work arrays are ``scratch``, a ``StepScratch`` that
+        packed this model with no parameter array replaced since, for ``n``
+        rows and the teacher's ``u`` (0 without one), or a new one, which
+        packs the model first.
 
         The step checks nothing: ``X`` must be a non-empty, 2-D, finite,
         C-order float64 array with ``input_dim`` columns, ``y`` one label per
@@ -352,7 +346,6 @@ class IncModel:
         ``distill_loss`` a key of ``DISTILL_TABLE``; ``train_epochs`` checks
         that once per call. The learning rate is ``config.lr``.
         """
-        params, grads = self._packed()
         n = X.shape[0]
         if out is None:
             out = (np.empty((n, self.num_classes)), np.empty(n), np.empty(n))
@@ -368,9 +361,9 @@ class IncModel:
             scratch.grad_u += d_s
 
         # backprop through the head and hidden stack from the pre-step
-        # parameters, each gradient written into its view of `grads`
+        # parameters, each gradient written into its view of `scratch.grads`
         layers = len(self.weights)
-        d_params = self._grad_views
+        d_params = scratch.grad_views
         np.dot(scratch.grad_T, acts[-1], out=d_params[-1])
         upstream, weight = grad, self.head
         for k in range(layers - 1, -1, -1):
@@ -382,8 +375,8 @@ class IncModel:
             # the input layer's gradient w.r.t. X is never computed
             upstream, weight = d_act, self.weights[k]
         # p - lr * d for every parameter, as two whole-vector operations
-        grads *= self.config.lr
-        params -= grads
+        scratch.grads *= self.config.lr
+        scratch.params -= scratch.grads
         return out
 
 
@@ -450,13 +443,14 @@ def train_epochs(
     over the pool and each epoch gathers its logits with the same ``order``
     as the rows, into arrays allocated once per call. The steps write their
     records into one set of arrays for the whole pool, and their work into
-    one ``StepScratch``; after the epoch's last step one ``row_losses`` call
-    turns them into per-row losses; each batch's mean loss, weighted by its
-    rows and summed in batch order, gives the epoch's mean. A non-finite
-    loss on the checked pool means the model itself diverged, which raises
-    ``DivergenceError`` naming the epoch. No pre-step loss shows the last
-    step, so the trained model then runs once more over the pool, and a
-    non-finite logit means the last epoch diverged.
+    one ``StepScratch``, which packs the model once for the call; after the
+    epoch's last step one ``row_losses`` call turns the records into per-row
+    losses; each batch's mean loss, weighted by its rows and summed in batch
+    order, gives the epoch's mean. A non-finite loss on the checked pool
+    means the model itself diverged, which raises ``DivergenceError`` naming
+    the epoch. No pre-step loss shows the last step, so the trained model
+    then runs once more over the pool, and a non-finite logit means the last
+    epoch diverged.
     """
     cfg = model.config
     epochs, batch_size = cfg.epochs_per_stage, cfg.batch_size
@@ -487,7 +481,8 @@ def train_epochs(
     # each step writes its rows of and the epoch's loss reads whole; the
     # epoch's gathered rows, labels and teacher logits (the loss may overwrite
     # the last, so they are never the caller's arrays); and the steps' scratch,
-    # whose tail-batch arrays are row slices of the full batch's.
+    # which packs the model and whose tail-batch arrays are row slices of the
+    # full batch's.
     record = (np.empty((n, model.num_classes)), np.empty(n), np.empty(n))
     X, y = np.empty_like(features), np.empty_like(labels)
     T = None if t_pool is None else np.empty_like(t_pool)

@@ -188,14 +188,14 @@ def test_a_copy_of_a_trained_model_shares_no_memory_and_steps_alone():
     X = numkit.make_rng(10).normal(size=(8, 6))
     y = numkit.make_rng(11).integers(0, 3, size=8)
     for _ in range(3):
-        model.backward_and_step(X, y)  # trained, so its parameters are packed
+        model.backward_and_step(X, y)  # trained, so its parameters are views of a flat vector
     originals = [*model.weights, *model.biases, model.head]
     before = [p.tobytes() for p in originals]
 
     clone = model.copy()
     fresh = [*clone.weights, *clone.biases, clone.head]
     for _ in range(3):
-        clone.backward_and_step(X, y)  # packs the copy into its own vector
+        clone.backward_and_step(X, y)  # each step packs the copy into a new vector of its own
     stepped = [*clone.weights, *clone.biases, clone.head]
 
     for copies in (fresh, stepped):
@@ -211,7 +211,7 @@ def test_a_deep_copied_or_pickled_trained_model_steps_like_the_original(duplicat
     model = make_model(num_classes=3, seed=12)
     X = numkit.make_rng(13).normal(size=(8, 6))
     y = numkit.make_rng(14).integers(0, 3, size=8)
-    model.backward_and_step(X, y)  # packed
+    model.backward_and_step(X, y)  # its parameters are views of a flat vector
     twin = duplicate(model)
     for _ in range(3):
         model.backward_and_step(X, y)
@@ -606,9 +606,9 @@ def expand_by_two(model):
 
 
 # Each case's id is distill_loss-alpha-rows; the cases at another architecture
-# or with a head change in mid-run append it. Layer widths and head changes
-# move every parameter's offset in the flat vector and replace arrays that a
-# step must repack.
+# (``linear`` without hidden layers) or with a head change in mid-run append
+# it. Layer widths and head changes move every parameter's offset in the flat
+# vector, and a head change replaces an array that the next step packs anew.
 STEP_CASES = [
     pytest.param(
         distill_loss,
@@ -618,11 +618,11 @@ STEP_CASES = [
         change,
         id="-".join(
             [distill_loss, str(alpha), rows_id]
-            + ([] if hidden_dims == (64, 32) else ["x".join(map(str, hidden_dims))])
+            + ([] if hidden_dims == (64, 32) else ["x".join(map(str, hidden_dims)) or "linear"])
             + ([] if change is None else [change.__name__])
         ),
     )
-    for hidden_dims in [(64, 32), (16,), (24, 16, 8)]
+    for hidden_dims in [(64, 32), (16,), (24, 16, 8), ()]
     for change in [None, swap_in_aligned_head, expand_by_two]
     for distill_loss in DISTILL_LOSSES
     for alpha in [0.0, 0.05]

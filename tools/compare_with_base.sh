@@ -8,9 +8,11 @@
 # `bench/run.py`'s `scenario_config(3)`, each side runs every ablation preset
 # (`components`, `losses`, `norms`) at `--seeds 2`, one `run` from CSV files
 # in which a stage-1 class (id 15) has test rows but no train rows, one `run`
-# at `batch_size` 2048 (every stage's pool is then a single short batch), and
-# `report` over all of those reports. OUT must be empty or absent; the outputs
-# go to OUT/base and OUT/head. Exits 0 when `diff -r` finds the two sides equal.
+# at `batch_size` 2048 (every stage's pool is then a single short batch), one
+# `run` with `hidden_dims` [] (a linear classifier: exemplars are chosen on the
+# raw inputs), and `report` over all of those reports. OUT must be empty or
+# absent; the outputs go to OUT/base and OUT/head. Exits 0 when `diff -r` finds
+# the two sides equal.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -43,6 +45,8 @@ python -c "import json, sys; doc = json.load(open(sys.argv[1])); doc['data'] = {
     "$config" "$data" "$out/csv-config.json"
 python -c "import json, sys; doc = json.load(open(sys.argv[1])); doc['model']['batch_size'] = 2048; json.dump(doc, open(sys.argv[2], 'w'))" \
     "$config" "$out/one-batch-config.json"
+python -c "import json, sys; doc = json.load(open(sys.argv[1])); doc['model']['hidden_dims'] = []; json.dump(doc, open(sys.argv[2], 'w'))" \
+    "$config" "$out/linear-config.json"
 
 for side in head base; do
     tree=$head
@@ -52,7 +56,8 @@ for side in head base; do
     done
     cli "$tree" run --config "$out/csv-config.json" --out "$out/$side/csv"
     cli "$tree" run --config "$out/one-batch-config.json" --out "$out/$side/one-batch"
+    cli "$tree" run --config "$out/linear-config.json" --out "$out/$side/linear"
     # the base's report does not create directories, so write into one that exists
-    cli "$tree" report "$out/$side"/{components,losses,norms,csv,one-batch}/*.json --out "$out/$side/report.csv"
+    cli "$tree" report "$out/$side"/{components,losses,norms,csv,one-batch,linear}/*.json --out "$out/$side/report.csv"
 done
 diff -r "$out/base" "$out/head"
