@@ -1,4 +1,23 @@
-"""Class-incremental learning with exemplars, distillation, and weight aligning."""
+"""Class-incremental learning with exemplars, distillation, and weight aligning.
+
+Thread policy: importing the package sets ``OPENBLAS_NUM_THREADS`` to 1,
+unless it is already set, before numpy first loads. A matrix product of the
+engine has at most ``batch_size`` rows; at the default widths and batch size
+that stays below the size at which OpenBLAS hands a product to its helper
+threads (M*N*K >= 2**19), so a helper would do no work. It would only
+busy-wait: once when the library loads, and again after any product that does
+cross that size. The default corpus gives the same report bytes under one and
+two threads (README, Reproducibility). A value set in the environment is
+kept, and a process that imported numpy before the package keeps numpy's
+threads.
+"""
+
+import os
+
+# Before the first submodule import: numpy first loads through `.continual`,
+# and OpenBLAS reads this variable once, when it loads. Its helper threads
+# start spinning at that moment, so no later call can take the cost back.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

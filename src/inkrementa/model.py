@@ -256,12 +256,11 @@ class IncModel:
 
         Rows go through the network in blocks of ``config.batch_size``, so
         inference never issues a larger matrix product than an SGD step does.
-        OpenBLAS hands a product to its thread pool once M*N*K reaches 2**19
-        (a 256-row block at 64x32 already does), and after each such call
-        every helper thread busy-waits for about 0.12 s of CPU. A single-call
-        pass over a 1,100-row test set therefore cost far more CPU than it
-        saved: at these layer widths the threads gain nothing (measured with
-        numpy 2.4 and OpenBLAS 0.3.31 on 2 CPUs).
+        The row count of a product selects OpenBLAS's code path, so the block
+        size is part of the report bytes: a whole-matrix pass over 1,100 or
+        5,500 rows differs from the 32-row blocks by up to 1.4e-14 (numpy 2.4
+        with OpenBLAS 0.3.31). OpenBLAS's threads are the package's thread
+        policy (see ``inkrementa``), not this method's concern.
         """
         X = numkit.as_matrix(X, "X")
         if X.shape[1] != self.input_dim:

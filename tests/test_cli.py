@@ -1,7 +1,11 @@
 """Tests for the command-line interface: subcommands and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -454,3 +458,60 @@ def test_cli_requires_a_subcommand():
     with pytest.raises(SystemExit) as err:
         cli.main([])
     assert err.value.code == 2
+
+
+# The directory holding the package, so that a fresh interpreter imports this source.
+PACKAGE_ROOT = Path(cli.__file__).resolve().parents[1]
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_python(args, cwd, **env):
+    """Run a new interpreter on this source, whose first numpy import is inkrementa's.
+
+    The BLAS thread variables are unset unless given in ``env``.
+    """
+    environ = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    environ.update(env, PYTHONPATH=str(PACKAGE_ROOT))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=environ, capture_output=True, text=True, check=True, timeout=300
+    ).stdout
+
+
+SHOW_THREAD_POLICY = """
+import json, os
+import inkrementa
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+"""
+
+
+def test_importing_the_package_runs_openblas_on_one_thread(tmp_path):
+    value, tasks = json.loads(fresh_python(["-c", SHOW_THREAD_POLICY], tmp_path))
+    assert value == "1"
+    if tasks is not None:
+        assert tasks == 1
+
+
+def test_an_openblas_thread_count_set_by_the_user_is_kept(tmp_path):
+    value, _ = json.loads(fresh_python(["-c", SHOW_THREAD_POLICY], tmp_path, OPENBLAS_NUM_THREADS="2"))
+    assert value == "2"
+
+
+def test_run_reports_are_byte_identical_under_one_and_two_openblas_threads(tmp_path):
+    # at batch size 2048 a 400-row stage-0 pass through the 64x32 layer crosses
+    # OpenBLAS's threading size (M*N*K >= 2**19), so the second run's products thread
+    config = write_config(
+        tmp_path,
+        data={"synthetic": {"num_classes": 8, "input_dim": 8, "train_per_class": 100, "test_per_class": 20}},
+        model={"hidden_dims": [64, 32], "batch_size": 2048, "epochs_per_stage": 3},
+    )
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        fresh_python(
+            ["-m", "inkrementa.cli", "run", "--config", str(config), "--out", str(out)],
+            tmp_path,
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        reports.append((out / "run-seed5.json").read_bytes())
+    assert reports[0] == reports[1]
