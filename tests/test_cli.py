@@ -69,14 +69,6 @@ def test_run_seed_override_names_the_report(tmp_path):
     assert (out / "run-seed9.json").exists()
 
 
-def test_run_twice_produces_identical_bytes(tmp_path):
-    config = write_config(tmp_path)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    cli.main(["run", "--config", str(config), "--out", str(out_a)])
-    cli.main(["run", "--config", str(config), "--out", str(out_b)])
-    assert (out_a / "run-seed5.json").read_bytes() == (out_b / "run-seed5.json").read_bytes()
-
-
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, typo_key=1)
     assert cli.main(["run", "--config", str(config)]) == 2

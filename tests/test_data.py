@@ -84,6 +84,8 @@ def test_synthetic_spec_validation():
         SyntheticSpec(num_classes=2, input_dim=2, train_per_class=0, test_per_class=2)
     with pytest.raises(ConfigError):
         SyntheticSpec(num_classes=2, input_dim=2, train_per_class=5, test_per_class=2, stddev=0.0)
+    with pytest.raises(ConfigError):
+        SyntheticSpec(num_classes=2, input_dim=2, train_per_class=5, test_per_class=2, center_scale=-1.0)
 
 
 def test_synthetic_same_seed_is_identical():
@@ -175,6 +177,13 @@ def test_load_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1.0\n1,abc\n")
     with pytest.raises(ParseError, match="line 2"):
+        load_csv(path)
+
+
+def test_load_csv_non_integer_label(tmp_path):
+    path = tmp_path / "bad-label.csv"
+    path.write_text("0,1.0\nx,2.0\n")
+    with pytest.raises(ParseError, match=re.escape("line 2: label 'x' is not an integer")):
         load_csv(path)
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inkrementa import numkit
+from inkrementa import cli, numkit
 from inkrementa.data import SyntheticSpec
 from inkrementa.errors import ConfigError, ParseError
 from inkrementa.harness import (
@@ -70,9 +70,15 @@ def test_parse_config_defaults_for_model_and_ccs():
     assert cfg.ccs == CcsSettings()
 
 
-def test_parse_config_rejects_unknown_keys_at_every_level():
+def test_parse_config_rejects_unknown_keys_at_every_level(tmp_path):
     with pytest.raises(ConfigError, match="config"):
         parse_config(config_doc(extra=1))
+    with pytest.raises(ConfigError, match="^model must be a JSON object"):
+        parse_config(config_doc(model=5))
+    with pytest.raises(ConfigError, match="^config must be a JSON object"):
+        parse_config([config_doc()])
+    (tmp_path / "list.json").write_text(json.dumps([config_doc()]))
+    assert cli.main(["run", "--config", str(tmp_path / "list.json"), "--out", str(tmp_path / "out")]) == 2
     doc = config_doc()
     doc["model"]["momentum"] = 0.9
     with pytest.raises(ConfigError, match="model"):
@@ -198,10 +204,6 @@ def test_ccs_settings_validation():
 
 
 # -- metrics ----------------------------------------------------------------------
-
-
-def test_accn_spot_value_from_stage_two():
-    assert abs(accn(25, 0.5856) - 14.64) <= 1e-12
 
 
 def test_accn_edge_values():
@@ -547,8 +549,6 @@ def test_summary_and_comparison_csv_structure(tmp_path):
 
 
 def test_csv_writers_pin_their_bytes_for_hand_written_inputs(tmp_path):
-    from inkrementa import cli
-
     doc = {
         "run_id": "E,KD-seed3",
         "seed": 3,
