@@ -168,7 +168,7 @@ def ccs_stage_update(
     student.expand_head(v, rng)
 
     alpha = settings.mixing_alpha(u, v) if settings.use_distillation else 0.0
-    teacher = prev.snapshot() if (settings.use_distillation and alpha > 0) else None
+    teacher = prev.snapshot() if alpha > 0 else None
 
     if settings.use_exemplars and store:
         # the pool: new rows, then every class's exemplars in insertion order

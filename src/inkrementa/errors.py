@@ -28,7 +28,6 @@ class ParseError(InkrementaError, ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class DegenerateHeadError(InkrementaError, ValueError):

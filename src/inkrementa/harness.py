@@ -101,7 +101,7 @@ _KINDS = {
     "bool": ("a boolean", lambda v: isinstance(v, bool), bool),
     "str": ("a string", lambda v: isinstance(v, str), str),
     "tuple[int, ...]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple),
-    "float | None": ("a number or null", lambda v: v is None or _is_number(v), lambda v: v),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v), lambda v: v if v is None else float(v)),
 }
 
 
