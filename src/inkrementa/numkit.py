@@ -62,8 +62,8 @@ def softmax_ce_grad(
     labels,
     row_max: np.ndarray,
     row_sum: np.ndarray,
+    index: np.ndarray,
     out: np.ndarray | None = None,
-    index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the per-row cross-entropy with respect to 2-D ``logits``.
 
@@ -72,7 +72,7 @@ def softmax_ce_grad(
     row's max into ``row_max`` and the row sum of ``exp(logits - row_max)``
     into ``row_sum`` (1-D, one entry per row): with the logits, that is all
     ``cross_entropy_rows`` needs. ``index`` is the row index
-    ``np.arange(n)``, built when not given.
+    ``np.arange(n)``.
 
     This is the SGD step's kernel, and it checks nothing: ``logits`` must be
     a non-empty 2-D float64 array and ``labels`` one label per row in
@@ -86,8 +86,6 @@ def softmax_ce_grad(
     np.exp(grad, out=grad)
     np.add.reduce(grad, axis=1, out=row_sum)
     grad /= row_sum[:, None]
-    if index is None:
-        index = np.arange(logits.shape[0])
     # one (row, label) pair per row, bounds-checked like the 2-D index
     # ``grad[rows, labels] -= 1.0`` but without its gather and scatter
     np.subtract.at(grad, (index, labels), 1.0)

@@ -469,6 +469,52 @@ def fresh_python(args, cwd, **env):
     ).stdout
 
 
+# The benchmark's tracer and per-operation wrappers, which hook into src/ by name.
+BENCH_DIR = PACKAGE_ROOT.parent / "bench"
+
+# As bench/op.py does: rebind run_scenario to a wrapper that reads each run's
+# incremental stage reports in this process, then install the span tracer.
+TRACED_ABLATE = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import spans
+from inkrementa import cli, harness
+
+run_scenario = harness.run_scenario
+stage_reports = []
+
+def counted_run_scenario(*args, **kwargs):
+    report = run_scenario(*args, **kwargs)
+    stage_reports.append(len(report.stage_reports[1:]))
+    return report
+
+spans.rebind(run_scenario, counted_run_scenario)
+tracer = spans.Tracer()
+spans.install(tracer)
+out = Path(sys.argv[3])
+code = cli.main(["ablate", "--config", sys.argv[2], "--preset", "components", "--seeds", "1", "--out", str(out)])
+tracer.write(out)
+print(json.dumps([code, stage_reports, spans.summarize(out)]))
+"""
+
+
+@pytest.mark.skipif(not (BENCH_DIR / "spans.py").is_file(), reason="needs the benchmark's tracer")
+def test_the_benchmark_tracer_counts_an_ablation_run_in_its_own_process(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "traced"
+    stdout = fresh_python(["-c", TRACED_ABLATE, str(BENCH_DIR), str(config), str(out)], tmp_path)
+    code, stage_reports, summary = json.loads(stdout.splitlines()[-1])
+    assert code == 0
+    assert stage_reports == [2] * 6
+    assert summary["harness.stage0_train.calls"] == 1
+    # one teacher pass per incremental stage of each distilling variant
+    assert summary["model.teacher_forward.calls"] == 3 * 2
+    # stage 0 trains 60 rows in 2 batches of 32; stages 1 and 2 train 30 new
+    # rows, plus 4 and 6 exemplars in the 4 exemplar variants; 5 epochs each
+    assert summary["model.backward_and_step.calls"] == 2 * 5 + 5 * (4 * (2 + 2) + 2 * (1 + 1))
+
+
 SHOW_THREAD_POLICY = """
 import json, os
 import inkrementa

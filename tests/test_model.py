@@ -497,8 +497,6 @@ LOSS_CASES = [("mse", 0.0), *((loss, 0.05) for loss in DISTILL_LOSSES)]
 # (``linear`` without hidden layers) or with a head change in mid-run append
 # it. Layer widths and head changes move every parameter's offset in the flat
 # vector, and a head change replaces an array that the next step packs anew.
-# The ``l1-0.0`` cases still repeat the ``mse-0.0`` computation of their shape
-# (ROADMAP aim 2 lists them for removal).
 STEP_CASES = [
     pytest.param(
         distill_loss,
@@ -514,7 +512,7 @@ STEP_CASES = [
     )
     for hidden_dims in [(64, 32), (16,), (24, 16, 8), ()]
     for change in [None, swap_in_aligned_head, expand_by_two]
-    for distill_loss, alpha in [*LOSS_CASES, ("l1", 0.0)]
+    for distill_loss, alpha in LOSS_CASES
     for rows, rows_id in [(32, "full"), (13, "ragged")]
 ]
 
