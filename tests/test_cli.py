@@ -464,9 +464,9 @@ def fresh_python(args, cwd, **env):
     """
     environ = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     environ.update(env, PYTHONPATH=str(PACKAGE_ROOT))
-    return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=environ, capture_output=True, text=True, check=True, timeout=300
-    ).stdout
+    result = subprocess.run([sys.executable, *args], cwd=cwd, env=environ, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 # The benchmark's tracer and per-operation wrappers, which hook into src/ by name.
