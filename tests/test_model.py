@@ -479,39 +479,50 @@ def test_distill_table_is_bit_identical_to_the_reference_chain(distill_loss):
         assert np.array_equal(grad, ref_grad)
 
 
+def expand_by_two(model):
+    model.expand_head(2, numkit.make_rng(43))
+
+
 # At alpha 0 the step skips distillation whatever its loss, so cross-entropy
 # alone runs once (id ``mse-0.0``) and each distillation loss at alpha 0.05.
 LOSS_CASES = [("mse", 0.0), *((loss, 0.05) for loss in DISTILL_LOSSES)]
 
 
 # Each case's id is distill_loss-alpha-rows; the cases at another architecture
-# (``linear`` without hidden layers) append it. Layer widths move every
-# parameter's offset in the flat vector. A head that is replaced or grown
-# between training calls is checked at the ``train_epochs`` level.
+# (``linear`` without hidden layers) or with a head grown in mid-run append
+# it. Layer widths and a grown head move every parameter's offset in the flat
+# vector. A head replaced by one of the same shape is checked at the
+# ``train_epochs`` level.
 STEP_CASES = [
     pytest.param(
         distill_loss,
         alpha,
         rows,
         hidden_dims,
+        change,
         id="-".join(
             [distill_loss, str(alpha), rows_id]
             + ([] if hidden_dims == (64, 32) else ["x".join(map(str, hidden_dims)) or "linear"])
+            + ([] if change is None else [change.__name__])
         ),
     )
     for hidden_dims in [(64, 32), (16,), (24, 16, 8), ()]
+    for change in [None, expand_by_two]
     for distill_loss, alpha in LOSS_CASES
     for rows, rows_id in [(32, "full"), (13, "ragged")]
 ]
 
 
-@pytest.mark.parametrize("distill_loss, alpha, rows, hidden_dims", STEP_CASES)
-def test_step_is_bit_identical_to_the_reference_step(distill_loss, alpha, rows, hidden_dims):
+@pytest.mark.parametrize("distill_loss, alpha, rows, hidden_dims, change", STEP_CASES)
+def test_step_is_bit_identical_to_the_reference_step(distill_loss, alpha, rows, hidden_dims, change):
     model, teacher = reference_pair(hidden_dims=hidden_dims)
     ref = model.copy()
     teacher = teacher if alpha > 0 else None
     rng = numkit.make_rng(41)
-    for _ in range(6):
+    for step in range(6):
+        if step == 3 and change is not None:
+            change(model)
+            change(ref)
         X = rng.normal(size=(rows, 8)) * 2.0
         y = rng.integers(0, 15, size=rows)
         t_logits = None if teacher is None else teacher.forward_batch(X)[0]
