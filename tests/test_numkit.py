@@ -217,7 +217,7 @@ def test_rng_rejects_negative_seed():
         numkit.make_rng(-1)
 
 
-def test_rng_known_output_is_stable_across_calls():
+def test_rng_raw_stream_matches_pinned_values():
     # numkit claims a seed's Philox stream is the same on every platform and
     # numpy release; numpy guarantees that for the raw bit-generator stream
     # (NEP 19), so these literals pin it.
