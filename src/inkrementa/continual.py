@@ -67,13 +67,6 @@ class CcsSettings:
         return ALPHA_BASE * u / (u + v)
 
 
-def _normalized_embeddings(model: IncModel, samples: np.ndarray) -> np.ndarray:
-    """L2-normalized embeddings of one class's samples; a zero embedding stays zero."""
-    _, embeddings = model.forward_batch(samples)
-    norms = np.sqrt((embeddings**2).sum(axis=1, keepdims=True))
-    return embeddings / np.where(norms > 0, norms, 1.0)
-
-
 def herding_select(model: IncModel, samples: np.ndarray, k: int) -> list[int]:
     """Indices of the k samples nearest to the class mean of L2-normalized embeddings.
 
@@ -86,7 +79,9 @@ def herding_select(model: IncModel, samples: np.ndarray, k: int) -> list[int]:
     (``CcsSettings`` checks it) and a sample (``build_exemplar_store`` skips
     a class without rows).
     """
-    normalized = _normalized_embeddings(model, samples)
+    _, embeddings = model.forward_batch(samples)
+    norms = np.sqrt((embeddings**2).sum(axis=1, keepdims=True))
+    normalized = embeddings / np.where(norms > 0, norms, 1.0)  # a zero embedding stays zero
     center = normalized.mean(axis=0)
     distances = np.sqrt(((normalized - center) ** 2).sum(axis=1))
     order = np.argsort(distances, kind="stable")

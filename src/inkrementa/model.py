@@ -9,7 +9,8 @@ central finite differences. ``train_epochs`` checks a training call once, and
 its SGD steps (``IncModel.backward_and_step``) check nothing.
 
 A step computes the gradient and the update, and no loss value: it records
-the batch's pre-step logits and the row max and row sum of their softmax.
+the batch's pre-step logits and the row max and row sum of their softmax,
+which ``numkit.softmax_rows`` writes as it starts the cross-entropy gradient.
 ``row_losses`` turns such records into per-row losses, and ``train_epochs``
 calls it once per epoch, over all of the epoch's rows.
 
@@ -330,20 +331,22 @@ class IncModel:
         The step computes the gradient and the update, and no loss value. The
         record it returns, ``(logits, row_max, row_sum)``, is what the loss
         needs: the batch's pre-step logits, and the row max and row sum of
-        their softmax. ``row_losses`` turns it into per-row losses. The step
-        writes the record into ``out``, three arrays of shapes
-        ``(n, num_classes)``, ``(n,)`` and ``(n,)``, or into new ones. Its
-        parameters and work arrays are ``scratch``, a ``StepScratch`` that
-        packed this model with no parameter array replaced since, for ``n``
-        rows and the teacher's ``u`` (0 without one), or a new one, which
-        packs the model first.
+        their softmax, which ``numkit.softmax_rows`` writes as it starts the
+        cross-entropy gradient (the softmax minus the one-hot labels).
+        ``row_losses`` turns it into per-row losses. The step writes the record
+        into ``out``, three arrays of shapes ``(n, num_classes)``, ``(n,)`` and
+        ``(n,)``, or into new ones. Its parameters and work arrays are
+        ``scratch``, a ``StepScratch`` that packed this model with no parameter
+        array replaced since, for ``n`` rows and the teacher's ``u`` (0 without
+        one), or a new one, which packs the model first.
 
         The step checks nothing: ``X`` must be a non-empty, 2-D, finite,
         C-order float64 array with ``input_dim`` columns, ``y`` one label per
         row in ``[0, num_classes)``, ``alpha`` in [0, 1], ``t_logits`` given
         exactly when ``alpha > 0`` with at most ``num_classes`` columns, and
         ``distill_loss`` a key of ``DISTILL_TABLE``; ``train_epochs`` checks
-        that once per call. The learning rate is ``config.lr``.
+        that once per call (a label past the last class still raises
+        ``IndexError``). The learning rate is ``config.lr``.
         """
         n = X.shape[0]
         if out is None:
@@ -352,7 +355,11 @@ class IncModel:
             scratch = StepScratch.new(self, n, 0 if t_logits is None else t_logits.shape[1])
         logits, row_max, row_sum = out
         acts = self._forward_cached(X, logits, scratch.hidden)
-        grad = numkit.softmax_ce_grad(logits, y, row_max, row_sum, out=scratch.grad, index=scratch.index)
+        # the cross-entropy gradient, softmax(logits) - onehot(y)
+        grad = numkit.softmax_rows(logits, scratch.grad, row_max, row_sum)
+        # one (row, label) pair per row, bounds-checked like the 2-D index
+        # ``grad[rows, labels] -= 1.0`` but without its gather and scatter
+        np.subtract.at(grad, (scratch.index, y), 1.0)
         grad *= (1.0 - alpha) / n
         if alpha > 0:
             d_s = DISTILL_TABLE[distill_loss][1](logits[:, : t_logits.shape[1]], t_logits, out=scratch.d_s)

@@ -1,4 +1,4 @@
-"""Dense float64 validation, seeded RNG, and the softmax/cross-entropy kernels.
+"""Dense float64 validation, seeded RNG, the one row softmax, and per-row cross-entropy.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in float64, C (row-major)
 order; vectors are 1-D float64 arrays. Everything here is a pure function of
@@ -39,64 +39,35 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def softmax_rows(
+    z: np.ndarray, out: np.ndarray | None = None, row_max: np.ndarray | None = None, row_sum: np.ndarray | None = None
+) -> np.ndarray:
     """Row-wise softmax of a 2-D float64 array with at least one column.
 
     The result is written into ``out`` (which may be ``z`` itself) or into a
-    new array.
+    new array; each row's max goes into ``row_max`` and its sum of
+    ``exp(z - max)`` into ``row_sum`` (1-D; given arrays or new ones), all
+    that ``cross_entropy_rows`` needs besides the logits.
 
-    Inputs are not checked: callers check theirs once upstream (the KLD
-    distillation gradient of an SGD step and distance of an epoch).
-    Non-finite logits give non-finite probabilities.
+    Inputs are not checked: its callers, the SGD step's cross-entropy
+    gradient and the KLD loss, run on batches ``model.train_epochs``
+    checked. Non-finite logits give non-finite probabilities.
     """
     # one array, exponentiated and normalised in place: on a pool-sized
     # input each further temporary costs more than the arithmetic
-    e = np.subtract(z, np.maximum.reduce(z, axis=1, keepdims=True), out=out)
+    row_max = np.maximum.reduce(z, axis=1, out=row_max)
+    e = np.subtract(z, row_max[:, None], out=out)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=1, keepdims=True)
+    row_sum = np.add.reduce(e, axis=1, out=row_sum)
+    e /= row_sum[:, None]
     return e
-
-
-def softmax_ce_grad(
-    logits: np.ndarray,
-    labels,
-    row_max: np.ndarray,
-    row_sum: np.ndarray,
-    index: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient of the per-row cross-entropy with respect to 2-D ``logits``.
-
-    Returns ``softmax(logits) - onehot(labels)``, written into ``out`` (of
-    the logits' shape) or into a new array. Along the way it writes each
-    row's max into ``row_max`` and the row sum of ``exp(logits - row_max)``
-    into ``row_sum`` (1-D, one entry per row): with the logits, that is all
-    ``cross_entropy_rows`` needs. ``index`` is the row index
-    ``np.arange(n)``.
-
-    This is the SGD step's kernel, and it checks nothing: ``logits`` must be
-    a non-empty 2-D float64 array and ``labels`` one label per row in
-    ``[0, num_classes)``. Its one caller, the step, takes its batches from
-    ``model.train_epochs``, which checks the pool once. Non-finite logits
-    give a non-finite gradient, and a negative label would index from the
-    end of its row; a label past the last class still raises ``IndexError``.
-    """
-    np.maximum.reduce(logits, axis=1, out=row_max)
-    grad = np.subtract(logits, row_max[:, None], out=out)
-    np.exp(grad, out=grad)
-    np.add.reduce(grad, axis=1, out=row_sum)
-    grad /= row_sum[:, None]
-    # one (row, label) pair per row, bounds-checked like the 2-D index
-    # ``grad[rows, labels] -= 1.0`` but without its gather and scatter
-    np.subtract.at(grad, (index, labels), 1.0)
-    return grad
 
 
 def cross_entropy_rows(logits: np.ndarray, labels, row_max: np.ndarray, row_sum: np.ndarray) -> np.ndarray:
     """Per-row cross-entropy, ``log(row_sum) - (logits[i, labels[i]] - row_max)``.
 
-    ``row_max`` and ``row_sum`` are the row statistics ``softmax_ce_grad``
-    wrote for the same logits, so the loss costs one ``log`` and one gather.
+    ``row_max`` and ``row_sum`` are the row statistics ``softmax_rows`` wrote
+    for the same logits, so the loss costs one ``log`` and one gather.
     Unchecked, like that kernel.
     """
     ce = np.log(row_sum)

@@ -513,6 +513,8 @@ def test_the_benchmark_tracer_counts_an_ablation_run_in_its_own_process(tmp_path
     # stage 0 trains 60 rows in 2 batches of 32; stages 1 and 2 train 30 new
     # rows, plus 4 and 6 exemplars in the 4 exemplar variants; 5 epochs each
     assert summary["model.backward_and_step.calls"] == 2 * 5 + 5 * (4 * (2 + 2) + 2 * (1 + 1))
+    # the preset distils with MSE, so every softmax is a step's cross-entropy gradient
+    assert summary["numkit.softmax_rows.calls"] == summary["model.backward_and_step.calls"]
 
 
 SHOW_THREAD_POLICY = """

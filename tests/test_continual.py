@@ -27,51 +27,14 @@ def embed_model(input_dim=4, num_classes=3, seed=0, hidden=()):
 # -- CcsSettings ----------------------------------------------------------------
 
 
-def test_context_default_alpha_schedule():
+def test_ccs_settings_default_alpha_schedule():
     ctx = CcsSettings()
     assert ctx.mixing_alpha(15, 10) == pytest.approx(0.06, abs=1e-15)
     assert CcsSettings().mixing_alpha(25, 10) == pytest.approx(0.1 * 25 / 35, abs=1e-15)
 
 
-def test_context_alpha_override_wins():
+def test_ccs_settings_alpha_override_wins():
     assert CcsSettings(alpha_override=0.3).mixing_alpha(15, 10) == 0.3
-
-
-# -- class feature center (the mean herding measures from) ----------------------------
-
-
-def test_feature_center_single_sample_is_its_normalized_embedding():
-    model = embed_model()
-    x = np.array([[3.0, 0.0, 4.0, 0.0]])
-    center = continual._normalized_embeddings(model, x).mean(axis=0)
-    npt.assert_allclose(center, [0.6, 0.0, 0.8, 0.0], atol=1e-15)
-
-
-def test_feature_center_symmetric_pair_cancels():
-    model = embed_model()
-    samples = np.array([[1.0, 2.0, -1.0, 0.5], [-1.0, -2.0, 1.0, -0.5]])
-    center = continual._normalized_embeddings(model, samples).mean(axis=0)
-    npt.assert_allclose(center, np.zeros(4), atol=1e-15)
-
-
-def test_feature_center_zero_embedding_maps_to_itself():
-    model = embed_model()
-    samples = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
-    center = continual._normalized_embeddings(model, samples).mean(axis=0)
-    npt.assert_allclose(center, [0.5, 0.0, 0.0, 0.0], atol=1e-15)
-
-
-def test_feature_center_matches_brute_force_oracle():
-    model = embed_model(input_dim=6, hidden=(8, 5), seed=3)
-    samples = numkit.make_rng(4).normal(size=(10, 6))
-    _, embeddings = model.forward_batch(samples)
-    acc = np.zeros(5)
-    for e in embeddings:
-        norm = np.sqrt(np.sum(e * e))
-        acc += e / norm if norm > 0 else e
-    oracle = acc / 10
-    center = continual._normalized_embeddings(model, samples).mean(axis=0)
-    assert np.max(np.abs(center - oracle)) <= 1e-12
 
 
 # -- herding_select ----------------------------------------------------------------
@@ -102,6 +65,14 @@ def test_herding_k_exhausts_all_samples():
     chosen = herding_select(model, samples, 99)
     assert sorted(chosen) == [0, 1, 2, 3]
     assert chosen == herding_oracle(model, samples, 99)
+
+
+def test_herding_keeps_a_zero_embedding_at_zero():
+    # normalized, the rows are the origin and two unit vectors; their mean
+    # (1/3, 1/3, 0, 0) is nearest the origin, then equidistant from the two
+    model = embed_model()
+    samples = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]])
+    assert herding_select(model, samples, 3) == [0, 1, 2]
 
 
 def test_herding_ties_break_toward_lower_index():

@@ -9,16 +9,18 @@
 #
 # BLAS: this tree's `inkrementa run` at `batch_size` 32 and 2048 (one short
 # batch per stage pool; the forward passes cross OpenBLAS's threading size)
-# goes to OUT/blas/SETTING under each setting, and each is compared with default:
+# goes to OUT/blas/SETTING under each setting, the same two runs distilling
+# with KLD to OUT/blas-kld/SETTING, and each is compared with default:
 #   default      the package's thread policy (one thread), no forced kernel
 #   threads-2    OPENBLAS_NUM_THREADS=2
 #   Haswell, Sandybridge, Prescott
 #                OPENBLAS_CORETYPE forced; only on x86-64 with AVX2, where each
 #                can run (a kernel the CPU lacks may crash)
-# These runs distill with MSE. Byte identity holds per CPU kernel, and MSE is
-# what agrees across kernels: with OpenBLAS 0.3.31 on a `SkylakeX` CPU, the
-# `losses` preset's L1 reports differ from the forced kernels' in 28-29 of 30
-# stage-3 and stage-4 epoch losses (up to 2.1e-4; every accuracy is equal).
+# Byte identity holds per CPU kernel, and MSE and KLD are what agree across
+# kernels: with OpenBLAS 0.3.31 on a `SkylakeX` CPU, the `losses` preset's L1
+# reports differ from the forced kernels' in 28-29 of 30 stage-3 and stage-4
+# epoch losses (up to 2.1e-4; every accuracy is equal). The KLD runs check the
+# softmax of the distillation loss, which the MSE runs never call.
 #
 # Base, with BASE_TREE (a source checkout, such as the parent commit's): head
 # (this tree) and base each run the three ablation presets at `--seeds 2`, a
@@ -62,6 +64,8 @@ from run import scenario_config
 out = sys.argv[2]
 docs = {name: scenario_config(3) for name in ("scenario", "one-batch", "linear", "csv")}
 docs["one-batch"]["model"]["batch_size"] = 2048
+for name in ("scenario", "one-batch"):
+    docs[f"kld-{name}"] = {**docs[name], "ccs": {**docs[name]["ccs"], "distill_loss": "kld"}}
 docs["linear"]["model"]["hidden_dims"] = []
 docs["csv"]["data"] = {"csv": {"train": f"{out}/csv-data/train-without-15.csv", "test": f"{out}/csv-data/test.csv"}}
 for name, doc in docs.items():
@@ -79,9 +83,12 @@ for setting in "${settings[@]}"; do
     esac
     cli "$head" "${blas[@]}" -- run --config "$out/scenario.json" --out "$out/blas/$setting/batch-32"
     cli "$head" "${blas[@]}" -- run --config "$out/one-batch.json" --out "$out/blas/$setting/batch-2048"
+    cli "$head" "${blas[@]}" -- run --config "$out/kld-scenario.json" --out "$out/blas-kld/$setting/batch-32"
+    cli "$head" "${blas[@]}" -- run --config "$out/kld-one-batch.json" --out "$out/blas-kld/$setting/batch-2048"
 done
 for setting in "${settings[@]:1}"; do
     same "blas $setting" "$out/blas/default" "$out/blas/$setting"
+    same "blas kld $setting" "$out/blas-kld/default" "$out/blas-kld/$setting"
 done
 
 if [ -n "$base" ]; then
